@@ -102,10 +102,6 @@ def test_bench_compile_cache_cold_vs_warm():
             key: value
             for key, value in warm.compile_cache.items()
         },
-        "warm_phase_seconds": {
-            key: round(value, 3)
-            for key, value in warm.phase_seconds.items()
-        },
     }
     RESULT_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",

@@ -39,7 +39,6 @@ from repro.net.proxy import InjectingProxy
 from repro.net.resilience import DegradedResource, merge_degraded
 from repro.net.resources import Request, ResourceKind
 from repro.net.url import Url, UrlError
-from repro.timing import phase
 from repro.webidl.registry import FeatureRegistry
 
 
@@ -347,7 +346,7 @@ class Browser:
             return
         realm.interp.reset_steps()
         try:
-            with phase("execute"):
+            with obs.phase("execute"):
                 realm.interp.run(program)
             visit.scripts_executed += 1
             if is_page_script:

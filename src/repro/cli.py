@@ -27,8 +27,9 @@ Commands:
   throughput and ETA, per-condition breakdown, worker heartbeats and
   RSS, fault counters, top failure causes); ``--watch N`` polls a
   live run without touching its lock
-* ``metrics``  — export the run's latest metrics snapshot as an
-  OpenMetrics text exposition (or the raw snapshot JSON)
+* ``metrics``  — export the run's metric series as an OpenMetrics
+  text exposition (or JSON): stable series derived from the shards,
+  unstable ones from the latest snapshot
 
 Exit codes: 0 on success, 1 when a check or comparison fails (this
 includes a storage failure mid-crawl — the run dir stays resumable),
@@ -42,11 +43,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import repro
 from repro.blocking.extension import BrowsingCondition
 from repro.core import debloat, reporting
+from repro.core.metrics import MissingCondition
 from repro.core.survey import (
     RetryPolicy,
     SurveyConfig,
@@ -71,16 +73,16 @@ _REPORTS = {
     "failures": reporting.failure_report_text,
     "degraded": reporting.degraded_report_text,
     "progress": reporting.progress_report_text,
-    "timing": reporting.timing_report_text,
+    "timing": reporting.compile_cache_text,
     "telemetry": reporting.telemetry_report_text,
     # Internal: auto-appended to checkpointed runs; not user-selectable
-    # (use "progress", which adds the cache/timing vitals).
+    # (use "progress", which adds the compile-cache vitals).
     "crawl-health": reporting.crawl_health_text,
 }
 
 _HIDDEN_REPORTS = frozenset(["crawl-health"])
 
-#: Reports that need the two single-extension conditions.
+#: Reports whose crawl also runs the two single-extension conditions.
 _NEEDS_QUAD = frozenset(["figure7"])
 
 
@@ -295,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = commands.add_parser(
         "metrics",
-        help="export the latest runtime-metrics snapshot of a run "
-        "directory (read-only)",
+        help="export the runtime metrics of a run directory "
+        "(read-only)",
     )
     metrics.add_argument(
         "run_dir", metavar="RUN_DIR",
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--format", choices=("openmetrics", "json"),
         default="openmetrics",
-        help="OpenMetrics text exposition, or the raw snapshot "
+        help="OpenMetrics text exposition, or the latest snapshot "
         "envelope as JSON (default: openmetrics)",
     )
 
@@ -463,7 +465,8 @@ def _crawl_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-metrics", action="store_true",
         help="skip the runtime metrics registry and its metrics.jsonl "
-        "snapshots (measurements are byte-identical either way)",
+        "snapshots of unstable series (measurements and the stable "
+        "series are identical either way)",
     )
     parser.add_argument(
         "--metrics-interval", type=float, default=10.0,
@@ -560,23 +563,28 @@ def _command_survey(args, out) -> int:
             # Checkpointed runs always surface their crawl health —
             # the deterministic table only, so a resumed run's output
             # stays byte-identical to the uninterrupted one (the
-            # run-varying cache/timing vitals need --report progress
-            # or --report timing).
+            # run-varying cache vitals need --report progress or
+            # --report timing).
             wanted.append("crawl-health")
     if args.save:
         persistence.save_survey(result, args.save)
         out.write("saved survey to %s\n" % args.save)
     for name in wanted:
-        if name in _NEEDS_QUAD and not set(
-            result.conditions
-        ) >= {"abp-only", "ghostery-only"}:
-            out.write("== %s == (skipped: survey lacks the "
-                      "single-extension conditions)\n\n" % name)
+        try:
+            text = _REPORTS[name](result)
+        except MissingCondition as error:
+            out.write("== %s == (skipped: %s)\n\n" % (name, error))
             continue
-        out.write("== %s ==\n" % name)
-        out.write(_REPORTS[name](result))
-        out.write("\n\n")
+        out.write("== %s ==\n%s\n\n" % (name, text))
     return 0
+
+
+def _write_paths(out, paths, skipped) -> None:
+    """The ``name -> path`` listing, then what was skipped and why."""
+    for name in sorted(paths):
+        out.write("%s -> %s\n" % (name, paths[name]))
+    for name in sorted(skipped):
+        out.write("%s skipped: %s\n" % (name, skipped[name]))
 
 
 def _command_figures(args, out) -> int:
@@ -596,9 +604,10 @@ def _command_figures(args, out) -> int:
             n_completed=min(92, max(1, args.sites - 8)),
             seed=args.seed,
         )
-    paths = charts.render_all(result, args.out, external=external)
-    for name in sorted(paths):
-        out.write("%s -> %s\n" % (name, paths[name]))
+    skipped: Dict[str, str] = {}
+    paths = charts.render_all(result, args.out, external=external,
+                              skipped=skipped)
+    _write_paths(out, paths, skipped)
     return 0
 
 
@@ -674,9 +683,10 @@ def _command_export(args, out) -> int:
             n_completed=min(92, max(1, args.sites - 8)),
             seed=args.seed,
         )
-    paths = export.export_all(result, args.out, external=external)
-    for name in sorted(paths):
-        out.write("%s -> %s\n" % (name, paths[name]))
+    skipped: Dict[str, str] = {}
+    paths = export.export_all(result, args.out, external=external,
+                              skipped=skipped)
+    _write_paths(out, paths, skipped)
     return 0
 
 
@@ -1052,33 +1062,21 @@ def _command_status(args, out) -> int:
 
 
 def _command_metrics(args, out) -> int:
-    """Export the latest metrics snapshot of a run directory."""
+    """Export a run directory's metric series.
+
+    Stable series are derived from the shards, unstable ones come from
+    the latest ``metrics.jsonl`` snapshot (if the run has any).
+    """
     import json as _json
-    import os as _os
 
     from repro.core import runmetrics, statusreport
-    from repro.core.checkpoint import MANIFEST_NAME
 
-    if not _os.path.exists(_os.path.join(args.run_dir, MANIFEST_NAME)):
-        raise statusreport.StatusError(
-            "%s: no readable %s — not a run directory"
-            % (args.run_dir, MANIFEST_NAME)
-        )
-    last = statusreport.latest_snapshot(args.run_dir)
-    if last is None:
-        # A valid run that simply never snapshotted (--no-metrics, or
-        # interrupted before the first cadence): benign, like an
-        # untraced run handed to ``repro trace``.
-        out.write(
-            "warning: %s has no metrics snapshots (crawl run with "
-            "--no-metrics?)\n" % args.run_dir
-        )
-        return 0
+    view = statusreport.metrics_view(args.run_dir)
     if args.format == "json":
-        _json.dump(last, out, indent=2, sort_keys=True)
+        _json.dump(view, out, indent=2, sort_keys=True)
         out.write("\n")
     else:
-        out.write(runmetrics.render_openmetrics(last["metrics"]))
+        out.write(runmetrics.render_openmetrics(view["metrics"]))
     return 0
 
 

@@ -220,15 +220,9 @@ def figure7_ad_vs_tracking_block(
     """Per-standard block rate under each extension alone.
 
     Requires the survey to have run the ``abp-only`` and
-    ``ghostery-only`` conditions.
+    ``ghostery-only`` conditions (:class:`metrics.MissingCondition`
+    otherwise).
     """
-    for needed in (BrowsingCondition.ABP_ONLY,
-                   BrowsingCondition.GHOSTERY_ONLY):
-        if needed not in result.conditions:
-            raise ValueError(
-                "survey lacks condition %r (configure SurveyConfig."
-                "conditions with all four conditions)" % needed
-            )
     counts = metrics.standard_site_counts(result, BrowsingCondition.DEFAULT)
     ad_rates = metrics.standard_block_rates(
         result, blocking_condition=BrowsingCondition.ABP_ONLY
@@ -326,8 +320,9 @@ class HeadlineStatistics:
     total_features: int
     never_used_features: int
     under_one_percent_features: int  # used, but on <1% of sites
-    blocked_over_90_features: int
-    under_one_percent_with_blocking: int
+    #: None when the survey lacks the blocking condition
+    blocked_over_90_features: Optional[int]
+    under_one_percent_with_blocking: Optional[int]
     total_standards: int
     never_used_standards: int
     under_one_percent_standards: int
@@ -344,7 +339,9 @@ class HeadlineStatistics:
         ) / self.total_features
 
     @property
-    def blocked_under_one_percent_fraction(self) -> float:
+    def blocked_under_one_percent_fraction(self) -> Optional[float]:
+        if self.under_one_percent_with_blocking is None:
+            return None
         return self.under_one_percent_with_blocking / self.total_features
 
 
@@ -356,20 +353,23 @@ def headline_feature_statistics(result: SurveyResult) -> HeadlineStatistics:
     under_1pct = sum(
         1 for c in counts.values() if 0 < c / measured < 0.01
     )
-    rates = metrics.feature_block_rates(result)
-    blocked_over_90 = sum(
-        1 for rate in rates.values() if rate is not None and rate > 0.90
-    )
-    blocking_measured = max(
-        1, len(result.measured_domains(BrowsingCondition.BLOCKING))
-    )
-    blocking_counts = metrics.feature_site_counts(
-        result, BrowsingCondition.BLOCKING
-    )
-    blocking_under_1pct = sum(
-        1 for c in blocking_counts.values()
-        if c / blocking_measured < 0.01
-    )
+    blocked_over_90 = blocking_under_1pct = None
+    if BrowsingCondition.BLOCKING in result.conditions:
+        rates = metrics.feature_block_rates(result)
+        blocked_over_90 = sum(
+            1 for rate in rates.values()
+            if rate is not None and rate > 0.90
+        )
+        blocking_measured = max(
+            1, len(result.measured_domains(BrowsingCondition.BLOCKING))
+        )
+        blocking_counts = metrics.feature_site_counts(
+            result, BrowsingCondition.BLOCKING
+        )
+        blocking_under_1pct = sum(
+            1 for c in blocking_counts.values()
+            if c / blocking_measured < 0.01
+        )
     standard_counts = metrics.standard_site_counts(
         result, BrowsingCondition.DEFAULT
     )

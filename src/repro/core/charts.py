@@ -29,7 +29,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
-from repro.core import analysis
+from repro.core import analysis, metrics
 from repro.core.survey import SurveyResult
 from repro.core.validation import ExternalValidationOutcome
 
@@ -571,28 +571,28 @@ def render_all(
     result: SurveyResult,
     out_dir: str,
     external: Optional[ExternalValidationOutcome] = None,
+    skipped: Optional[Dict[str, str]] = None,
 ) -> Dict[str, str]:
     """Write every renderable figure to ``out_dir``; returns paths.
 
-    Figure 7 is skipped unless the survey ran the single-extension
-    conditions; Figure 9 is skipped without an external-validation
+    A figure comparing against a condition the survey did not run
+    (Figures 4 and 6 need ``blocking``, Figure 7 the single-extension
+    conditions) is skipped, and named with its reason in ``skipped``
+    when given; Figure 9 is skipped without an external-validation
     outcome.
     """
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    figures: Dict[str, str] = {
-        "figure1": figure1_svg(),
-        "figure3": figure3_svg(result),
-        "figure4": figure4_svg(result),
-        "figure5": figure5_svg(result),
-        "figure6": figure6_svg(result),
-        "figure8": figure8_svg(result),
-    }
-    try:
-        figures["figure7"] = figure7_svg(result)
-    except ValueError:
-        pass
+    figures = {"figure1": figure1_svg()}
+    figures.update(metrics.build_supported({
+        "figure3": figure3_svg,
+        "figure4": figure4_svg,
+        "figure5": figure5_svg,
+        "figure6": figure6_svg,
+        "figure7": figure7_svg,
+        "figure8": figure8_svg,
+    }, result, skipped))
     if external is not None:
         figures["figure9"] = figure9_svg(external)
     paths: Dict[str, str] = {}

@@ -32,7 +32,6 @@ import os
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.browser.session import TELEMETRY_COUNTERS, SiteMeasurement
-from repro.core import runmetrics
 from repro.core.persistence import (
     PersistenceError,
     measurement_from_dict,
@@ -220,12 +219,6 @@ class SurveyCheckpoint:
         #: metrics pump continues from here so a resumed run never
         #: duplicates a snapshot sequence number
         self._metrics_seq = 0
-        #: condition -> domain -> the per-site metrics sibling that
-        #: rode the measurement record (None when the record carried
-        #: none); re-ingested on resume to rebuild stable totals
-        self._site_metrics: Dict[str, Dict[str, Optional[Dict[str, Any]]]] = {
-            condition: {} for condition in manifest["conditions"]
-        }
         #: domain -> times this site killed or hung a crawl worker
         #: (the watchdog's poison-site strike counts; persisted so a
         #: resumed run never re-crawls a quarantined site)
@@ -468,10 +461,6 @@ class SurveyCheckpoint:
                     )
                 # Last good record wins (append-only semantics).
                 self._records[condition][record["domain"]] = measurement
-                metrics = record.get("metrics")
-                self._site_metrics[condition][record["domain"]] = (
-                    metrics if isinstance(metrics, dict) else None
-                )
 
     def append(
         self,
@@ -488,8 +477,8 @@ class SurveyCheckpoint:
         serialization or the survey digest.  ``metrics`` rides the same
         way: the site's deterministic metric delta
         (:func:`repro.core.runmetrics.wire_delta`) travels with the
-        record so a resumed run can rebuild its stable metric totals
-        from exactly the recorded site set.
+        record, so readers derive the stable metric series from
+        exactly the recorded site set.
         """
         condition = measurement.condition
         handle = self._handles.get(condition)
@@ -509,7 +498,6 @@ class SurveyCheckpoint:
             record["metrics"] = metrics
         self.storage.append_record(handle, record)
         self._records[condition][measurement.domain] = measurement
-        self._site_metrics[condition][measurement.domain] = metrics
 
     # -- trace shards ----------------------------------------------------
 
@@ -591,12 +579,6 @@ class SurveyCheckpoint:
     def last_metrics_seq(self) -> int:
         """Highest snapshot seq durable so far (0 = none yet)."""
         return self._metrics_seq
-
-    def site_metrics(
-        self, condition: str
-    ) -> Dict[str, Optional[Dict[str, Any]]]:
-        """Recorded per-site metric siblings for a condition (a copy)."""
-        return dict(self._site_metrics.get(condition, {}))
 
     def close(self) -> None:
         for handle in self._handles.values():
@@ -785,68 +767,6 @@ _MEASUREMENT_REQUIRED = (
     "features",
     "invocations",
 )
-
-
-def _stable_counter_values(
-    snapshot: Dict[str, Any]
-) -> Dict[Any, Any]:
-    """Comparable values of a snapshot's stable counters/histograms.
-
-    Keyed (name, sorted labels); gauges and unstable series are
-    excluded — they legitimately move both ways (and reset to zero
-    when a resumed process starts fresh).
-    """
-    out: Dict[Any, Any] = {}
-    for entry in snapshot.get("series", ()):
-        if not entry.get("stable"):
-            continue
-        labels = entry.get("labels") or {}
-        key = (entry.get("name"), tuple(sorted(labels.items())))
-        if entry.get("kind") == "histogram":
-            out[key] = (entry.get("count", 0), entry.get("sum", 0))
-        elif entry.get("kind") == "counter":
-            out[key] = entry.get("value", 0)
-    return out
-
-
-def _metrics_telemetry_mismatches(
-    snapshot: Dict[str, Any],
-    shard_raw: Dict[str, List[Dict[str, Any]]],
-    final: bool,
-) -> List[str]:
-    """Cross-check a snapshot's telemetry series against the shards.
-
-    Stable totals are ingested only after the matching record is
-    durable, so every snapshot must stay at-or-below the shard-derived
-    totals, and the run's *final* snapshot must equal them exactly.
-    """
-    problems: List[str] = []
-    for condition in sorted(shard_raw):
-        survivors: Dict[str, Dict[str, Any]] = {}
-        for record in shard_raw[condition]:
-            survivors[record["domain"]] = record["measurement"]
-        for counter in sorted(runmetrics.TELEMETRY_SERIES):
-            series = runmetrics.TELEMETRY_SERIES[counter]
-            expected = sum(
-                measurement[counter]
-                for measurement in survivors.values()
-                if isinstance(measurement.get(counter), int)
-            )
-            value = runmetrics.series_value(
-                snapshot, series, condition=condition
-            )
-            value = value if isinstance(value, (int, float)) else 0
-            if final and value != expected:
-                problems.append(
-                    "%s[%s]=%s != shard total %d"
-                    % (series, condition, value, expected)
-                )
-            elif not final and value > expected:
-                problems.append(
-                    "%s[%s]=%s > shard total %d"
-                    % (series, condition, value, expected)
-                )
-    return problems
 
 
 def fsck_report(run_dir: str, repair: bool = False) -> Dict[str, Any]:
@@ -1196,23 +1116,19 @@ def fsck_report(run_dir: str, repair: bool = False) -> Dict[str, Any]:
 
     # 2d. Metrics time series (present only for metrics-on runs).
     #     Snapshots are append-only registry dumps: a torn tail is
-    #     recoverable, sequence numbers must be unique and increasing
-    #     (a duplicated seq means a resumed run restarted the cursor),
-    #     stable counters may never decrease across snapshots, and the
-    #     telemetry series in the last snapshot must agree with the
-    #     totals the measurement shards imply — equal for a final
-    #     snapshot, never above for an intermediate one (stable totals
-    #     are ingested only after the site's record is durable).
+    #     recoverable, and sequence numbers must be unique and
+    #     increasing (a duplicated seq means a resumed run restarted
+    #     the cursor).  They hold only unstable series, so there is
+    #     nothing to reconcile with the shards: readers derive the
+    #     stable series from the shards themselves.
     metrics_path = os.path.join(run_dir, METRICS_NAME)
     if os.path.exists(metrics_path):
         metric_records: List[Dict[str, Any]] = []
-        readable = True
         try:
             metric_records, dropped = load_metrics_records(metrics_path)
         except CheckpointError as error:
             report(False, "%s: %s" % (METRICS_NAME, error))
-            readable = False
-        if readable:
+        else:
             if dropped and repair:
                 load_metrics_records(metrics_path, repair=True)
                 fixed("truncate-torn-tail", METRICS_NAME,
@@ -1236,42 +1152,6 @@ def fsck_report(run_dir: str, repair: bool = False) -> Dict[str, Any]:
             elif seqs != sorted(seqs):
                 report(False, "%s: snapshot seqs out of order"
                        % METRICS_NAME)
-            ordered = sorted(metric_records, key=lambda r: r["seq"])
-            regressions = []
-            previous: Dict[Any, Any] = {}
-            for record in ordered:
-                current = _stable_counter_values(record["metrics"])
-                for key, before in previous.items():
-                    after = current.get(key)
-                    if after is not None and after < before:
-                        regressions.append("%s seq %d" % (
-                            key[0], record["seq"]))
-                previous.update(current)
-            if regressions:
-                report(False, "%s: stable counter decreased across "
-                       "snapshots (%s)" % (
-                           METRICS_NAME,
-                           ", ".join(sorted(set(regressions))[:5])))
-            else:
-                report(True, "%s: stable counters monotonic across "
-                       "%d snapshot(s)"
-                       % (METRICS_NAME, len(metric_records)))
-            if shard_raw:
-                last = ordered[-1]
-                mismatches = _metrics_telemetry_mismatches(
-                    last["metrics"], shard_raw,
-                    final=last.get("kind") == "final",
-                )
-                if mismatches:
-                    report(False, "%s: telemetry series disagree with "
-                           "the measurement shards (%s)" % (
-                               METRICS_NAME,
-                               "; ".join(mismatches[:5])))
-                else:
-                    report(True, "%s: telemetry series consistent "
-                           "with the measurement shards (%s snapshot)"
-                           % (METRICS_NAME,
-                              last.get("kind", "snapshot")))
 
     # 3. Quarantine strike table (optional file).
     quarantine_path = os.path.join(run_dir, QUARANTINE_NAME)

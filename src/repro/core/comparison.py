@@ -31,15 +31,19 @@ BLOCK_RATE_TOLERANCE = 0.25
 #: comparisons — a handful of sites decide them at small scale.
 RARITY_FLOOR = 0.02
 
+#: the note on a row the survey's conditions cannot check
+NO_BLOCKING = "skipped: survey lacks the blocking condition"
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One checked claim."""
+    """One checked claim; ``ok`` is None for a skipped row, which
+    counts as neither pass nor fail."""
 
     metric: str
     paper: str
     measured: str
-    ok: bool
+    ok: Optional[bool]
     note: str = ""
 
 
@@ -53,10 +57,14 @@ def compare_to_paper(result: SurveyResult) -> List[ComparisonRow]:
     return rows
 
 
-def _row(metric: str, paper: str, measured: str, ok: bool,
+def _row(metric: str, paper: str, measured: str, ok: Optional[bool],
          note: str = "") -> ComparisonRow:
     return ComparisonRow(metric=metric, paper=paper, measured=measured,
                          ok=ok, note=note)
+
+
+def _skipped(metric: str, paper: str) -> ComparisonRow:
+    return _row(metric, paper, "-", None, NO_BLOCKING)
 
 
 def _structural_rows(result: SurveyResult) -> List[ComparisonRow]:
@@ -90,6 +98,8 @@ def _headline_rows(result: SurveyResult) -> List[ComparisonRow]:
     measured = len(result.measured_domains(BrowsingCondition.DEFAULT))
     total = len(result.domains)
     measurable = measured / max(1, total)
+    blocked = stats.blocked_over_90_features
+    under_blocked = stats.blocked_under_one_percent_fraction
     rows = [
         _row("domains measurable", "97.3%", "%.1f%%" % (100 * measurable),
              0.90 <= measurable <= 1.0),
@@ -100,15 +110,15 @@ def _headline_rows(result: SurveyResult) -> List[ComparisonRow]:
         _row("features on <1% of sites", "79%",
              "%.1f%%" % (100 * stats.under_one_percent_fraction),
              stats.under_one_percent_fraction >= 0.60),
+        _skipped("features on <1% with blocking", "83%")
+        if under_blocked is None else
         _row("features on <1% with blocking", "83%",
-             "%.1f%%" % (100 * stats.blocked_under_one_percent_fraction),
-             stats.blocked_under_one_percent_fraction
-             >= stats.under_one_percent_fraction),
+             "%.1f%%" % (100 * under_blocked),
+             under_blocked >= stats.under_one_percent_fraction),
+        _skipped("features blocked >90%", "~10%") if blocked is None else
         _row("features blocked >90%", "~10%",
-             "%.1f%%" % (100 * stats.blocked_over_90_features
-                         / stats.total_features),
-             stats.blocked_over_90_features > 0,
-             "direction only: a blocked core exists"),
+             "%.1f%%" % (100 * blocked / stats.total_features),
+             blocked > 0, "direction only: a blocked core exists"),
         _row("standards never used", ">=11", str(stats.never_used_standards),
              stats.never_used_standards >= 11),
         _row("standards at <=1%", "28", str(stats.under_one_percent_standards),
@@ -121,11 +131,8 @@ def _standard_rows(result: SurveyResult) -> List[ComparisonRow]:
     rows: List[ComparisonRow] = []
     measured = max(1, len(result.measured_domains(BrowsingCondition.DEFAULT)))
     counts = metrics.standard_site_counts(result, BrowsingCondition.DEFAULT)
-    rates = (
-        metrics.standard_block_rates(result)
-        if BrowsingCondition.BLOCKING in result.conditions
-        else {}
-    )
+    has_blocking = BrowsingCondition.BLOCKING in result.conditions
+    rates = metrics.standard_block_rates(result) if has_blocking else {}
     for spec in all_standards():
         if not spec.in_table2 or spec.never_used:
             continue
@@ -138,15 +145,16 @@ def _standard_rows(result: SurveyResult) -> List[ComparisonRow]:
         )
         if spec.popularity < RARITY_FLOOR:
             continue
+        metric = "block rate %s" % spec.abbrev
+        paper = "%.1f%%" % (100 * spec.block_rate)
+        if not has_blocking:
+            rows.append(_skipped(metric, paper))
+            continue
         rate = rates.get(spec.abbrev)
         if rate is None:
             continue
         ok = abs(rate - spec.block_rate) <= BLOCK_RATE_TOLERANCE
-        rows.append(
-            _row("block rate %s" % spec.abbrev,
-                 "%.1f%%" % (100 * spec.block_rate),
-                 "%.1f%%" % (100 * rate), ok)
-        )
+        rows.append(_row(metric, paper, "%.1f%%" % (100 * rate), ok))
     return rows
 
 
@@ -167,10 +175,15 @@ def _validation_rows(result: SurveyResult) -> List[ComparisonRow]:
     return rows
 
 
+def _tally(rows: List[ComparisonRow]) -> Tuple[int, int]:
+    """(passing rows, checked rows); skipped rows count in neither."""
+    return (sum(1 for r in rows if r.ok),
+            sum(1 for r in rows if r.ok is not None))
+
+
 def scorecard(result: SurveyResult) -> Tuple[int, int]:
-    """(passing rows, total rows)."""
-    rows = compare_to_paper(result)
-    return sum(1 for r in rows if r.ok), len(rows)
+    """(passing rows, checked rows)."""
+    return _tally(compare_to_paper(result))
 
 
 def render_comparison(rows: List[ComparisonRow],
@@ -178,19 +191,23 @@ def render_comparison(rows: List[ComparisonRow],
     """A text scorecard."""
     from repro.core.reporting import render_table
 
+    labels = {True: "PASS", False: "FAIL", None: "SKIP"}
     body = [
         (
-            "PASS" if row.ok else "FAIL",
+            labels[row.ok],
             row.metric,
             row.paper,
             row.measured,
             row.note,
         )
         for row in rows
-        if not failures_only or not row.ok
+        if not failures_only or row.ok is False
     ]
-    passing = sum(1 for r in rows if r.ok)
+    passing, checked = _tally(rows)
     table = render_table(
         ("", "Metric", "Paper", "Measured", "Note"), body
     )
-    return "%s\n\n%d/%d checks pass" % (table, passing, len(rows))
+    text = "%s\n\n%d/%d checks pass" % (table, passing, checked)
+    if checked < len(rows):
+        text += " (%d skipped)" % (len(rows) - checked)
+    return text

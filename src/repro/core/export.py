@@ -179,25 +179,27 @@ def export_all(
     result: SurveyResult,
     out_dir: str,
     external: Optional[ExternalValidationOutcome] = None,
+    skipped: Optional[Dict[str, str]] = None,
 ) -> Dict[str, str]:
-    """Write every exportable dataset to ``out_dir``; returns paths."""
+    """Write every exportable dataset to ``out_dir``; returns paths.
+
+    Datasets comparing against a condition the survey did not run are
+    skipped, and named with their reason in ``skipped`` when given.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    exports: Dict[str, str] = {
-        "figure1": figure1_csv(),
-        "table1": table1_csv(result),
-        "figure3": figure3_csv(result),
-        "figure4": figure4_csv(result),
-        "figure5": figure5_csv(result),
-        "figure6": figure6_csv(result),
-        "table2": table2_csv(result),
-        "figure8": figure8_csv(result),
-        "table3": table3_csv(result),
-        "features": features_csv(result),
-    }
-    try:
-        exports["figure7"] = figure7_csv(result)
-    except ValueError:
-        pass
+    exports = {"figure1": figure1_csv()}
+    exports.update(metrics.build_supported({
+        "table1": table1_csv,
+        "figure3": figure3_csv,
+        "figure4": figure4_csv,
+        "figure5": figure5_csv,
+        "figure6": figure6_csv,
+        "table2": table2_csv,
+        "figure7": figure7_csv,
+        "figure8": figure8_csv,
+        "table3": table3_csv,
+        "features": features_csv,
+    }, result, skipped))
     if external is not None:
         exports["figure9"] = figure9_csv(external)
     paths: Dict[str, str] = {}

@@ -12,10 +12,42 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.blocking.extension import BrowsingCondition
 from repro.core.survey import SurveyResult
+
+
+class MissingCondition(ValueError):
+    """A comparison needs a browsing condition the survey did not run."""
+
+
+def _require(result: SurveyResult, *conditions: str) -> None:
+    for condition in conditions:
+        if condition not in result.conditions:
+            raise MissingCondition(
+                "survey lacks the %s condition" % condition
+            )
+
+
+def build_supported(
+    builders: Dict[str, Callable[[SurveyResult], str]],
+    result: SurveyResult,
+    skipped: Optional[Dict[str, str]] = None,
+) -> Dict[str, str]:
+    """Every artifact the survey's conditions support, by name.
+
+    An artifact whose builder raises :class:`MissingCondition` is left
+    out; ``skipped``, when given, collects its name and the reason.
+    """
+    built: Dict[str, str] = {}
+    for name, build in builders.items():
+        try:
+            built[name] = build(result)
+        except MissingCondition as error:
+            if skipped is not None:
+                skipped[name] = str(error)
+    return built
 
 
 def feature_site_counts(
@@ -69,8 +101,10 @@ def standard_block_rates(
     """standard -> block rate (None when the standard is never used).
 
     Only sites measured under *both* conditions participate, matching
-    the paper's given-used-by-default conditional.
+    the paper's given-used-by-default conditional.  Raises
+    :class:`MissingCondition` when the survey lacks either.
     """
+    _require(result, default_condition, blocking_condition)
     default_sites = result.standard_sites(default_condition)
     blocking_sites = result.standard_sites(blocking_condition)
     common = set(result.measured_domains(default_condition)) & set(
@@ -93,6 +127,7 @@ def feature_block_rates(
     default_condition: str = BrowsingCondition.DEFAULT,
 ) -> Dict[str, Optional[float]]:
     """feature -> block rate (None when never used by default)."""
+    _require(result, default_condition, blocking_condition)
     default_sites = result.feature_sites(default_condition)
     blocking_sites = result.feature_sites(blocking_condition)
     common = set(result.measured_domains(default_condition)) & set(

@@ -128,7 +128,6 @@ def survey_to_dict(result: SurveyResult) -> Dict[str, Any]:
         },
         "wall_seconds": result.wall_seconds,
         "compile_cache": dict(result.compile_cache),
-        "phase_seconds": dict(result.phase_seconds),
         "measurements": measurements,
     }
 
@@ -166,7 +165,6 @@ def survey_from_dict(
         registry=registry,
         wall_seconds=data.get("wall_seconds", 0.0),
         compile_cache=dict(data.get("compile_cache", {})),
-        phase_seconds=dict(data.get("phase_seconds", {})),
     )
 
 
@@ -195,11 +193,10 @@ def survey_digest(result: SurveyResult) -> str:
     import hashlib
 
     data = survey_to_dict(result)
-    # Timings and cache counters vary run to run without changing what
-    # was *measured* — they are excluded like wall_seconds.
+    # Cache counters vary run to run without changing what was
+    # *measured* — they are excluded like wall_seconds.
     data.pop("wall_seconds", None)
     data.pop("compile_cache", None)
-    data.pop("phase_seconds", None)
     payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

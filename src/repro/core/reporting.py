@@ -76,8 +76,22 @@ def table3_text(rows: List[Tuple[int, float]]) -> str:
     )
 
 
+#: what a headline line reads when the survey cannot support it
+NO_BLOCKING = "skipped (survey lacks the blocking condition)"
+
+
 def headline_text(result: SurveyResult) -> str:
     stats = analysis.headline_feature_statistics(result)
+    blocked = under_blocked = NO_BLOCKING
+    if stats.blocked_over_90_features is not None:
+        blocked = "%d (%.1f%%)" % (
+            stats.blocked_over_90_features,
+            100 * stats.blocked_over_90_features / stats.total_features,
+        )
+        under_blocked = "%d (%.1f%%)" % (
+            stats.under_one_percent_with_blocking,
+            100 * stats.blocked_under_one_percent_fraction,
+        )
     lines = [
         "Features instrumented:        %d" % stats.total_features,
         "Never used:                   %d (%.1f%%)"
@@ -87,16 +101,8 @@ def headline_text(result: SurveyResult) -> str:
             stats.under_one_percent_features,
             100 * stats.under_one_percent_fraction,
         ),
-        "Blocked >90%% of the time:     %d (%.1f%%)"
-        % (
-            stats.blocked_over_90_features,
-            100 * stats.blocked_over_90_features / stats.total_features,
-        ),
-        "On <1%% of sites w/ blocking:  %d (%.1f%%)"
-        % (
-            stats.under_one_percent_with_blocking,
-            100 * stats.blocked_under_one_percent_fraction,
-        ),
+        "Blocked >90% of the time:     " + blocked,
+        "On <1% of sites w/ blocking:  " + under_blocked,
         "Standards:                    %d (%d never used, %d on <=1%%)"
         % (
             stats.total_standards,
@@ -268,40 +274,6 @@ def compile_cache_text(result: SurveyResult) -> str:
     return render_table(("Compile cache", "Value"), rows)
 
 
-def phase_timing_text(result: SurveyResult) -> str:
-    """Exclusive wall time per pipeline phase, as a table.
-
-    Phases nest (an XHR mid-script, a handler compile mid-monkey), but
-    accounting is exclusive, so the rows sum to the instrumented time
-    without double counting.  The share column is of the summed phase
-    time, not of ``wall_seconds`` — uninstrumented work (HTML parsing,
-    realm construction, analysis) accounts for the difference.
-    """
-    phases = result.phase_seconds
-    if not phases:
-        return "no phase timings recorded"
-    from repro.timing import PHASES
-
-    ordered = [name for name in PHASES if name in phases]
-    ordered += sorted(set(phases) - set(PHASES))
-    total = sum(phases.values())
-    rows = [
-        (name, "%.2f s" % phases[name],
-         _format_rate(phases[name] / total if total else None))
-        for name in ordered
-    ]
-    rows.append(("(instrumented total)", "%.2f s" % total, ""))
-    rows.append(("(crawl wall clock)", "%.2f s" % result.wall_seconds, ""))
-    return render_table(("Phase", "Wall time", "Share"), rows)
-
-
-def timing_report_text(result: SurveyResult) -> str:
-    """Compile-cache counters + per-phase wall-time breakdown."""
-    return "%s\n\n%s" % (
-        compile_cache_text(result), phase_timing_text(result)
-    )
-
-
 def crawl_health_text(result: SurveyResult) -> str:
     """Per-condition crawl health: done / failed / retried sites.
 
@@ -396,15 +368,15 @@ def telemetry_report_text(result: SurveyResult) -> str:
 
 
 def progress_report_text(result: SurveyResult) -> str:
-    """Crawl health plus the run's cache and phase-timing vitals.
+    """Crawl health plus the run's compile-cache vitals.
 
     The vitals describe *this process's* work (a resumed or warm-cache
     run reports different counters for the same data), so they live in
     the explicitly requested report, not the always-printed health
-    table."""
+    table.  Per-phase time comes from the spans (``repro trace``)."""
     report = crawl_health_text(result)
-    if result.compile_cache or result.phase_seconds:
-        report += "\n\n" + timing_report_text(result)
+    if result.compile_cache:
+        report += "\n\n" + compile_cache_text(result)
     return report
 
 

@@ -23,14 +23,14 @@ split:
   compile-cache hit mirrors and IPC frame sizes.  They are flagged
   ``stable: false`` in snapshots and excluded from the digest.
 
-Stable totals are *harvested at site boundaries* rather than counted
-per event: the crawl computes one small delta dict per finished site
-(:func:`wire_delta` + the measurement itself) and feeds it through
-:meth:`MetricsRegistry.ingest_site`.  The delta also rides the
-measurement shard record as a sibling field, which is what makes
-kill+resume bit-identical — a resumed run rebuilds its stable totals
-by re-ingesting the recovered records, so totals are a function of
-the recorded site set, not of which process counted them.
+Stable series are *derived when a run is read*, never counted live:
+the crawl appends one small delta dict per finished site
+(:func:`wire_delta`) to the site's shard record, and readers fold the
+last record per (condition, domain) through
+:meth:`MetricsRegistry.ingest_record` — so totals are a function of
+the recorded site set, whatever process measured it, which makes
+kill+resume bit-identical.  ``metrics.jsonl`` holds only unstable
+series.
 
 Merging is data-driven from the snapshot itself: counters and
 histograms add, gauges and mirror counters take the max (``agg``
@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = [
@@ -127,7 +128,8 @@ _SPECS = (
           "Sites with at least one successful visit round.",
           labels=("condition",)),
     _spec("crawl_sites_degraded_total", COUNTER,
-          "Measured sites that lost subresources or budget.",
+          "Sites whose record lists lost subresources, failed sites "
+          "included.",
           labels=("condition",)),
     _spec("crawl_sites_failed_total", COUNTER,
           "Unmeasured sites by structured failure cause.",
@@ -227,8 +229,7 @@ _SPECS = (
 
 METRIC_SPECS: Dict[str, MetricSpec] = {spec.name: spec for spec in _SPECS}
 
-#: canonical telemetry counter -> the stable series mirroring it; the
-#: fsck cross-check sums shard measurements through this mapping.
+#: canonical telemetry counter -> the stable series mirroring it.
 TELEMETRY_SERIES = {
     "scripts_blocked": "browser_scripts_blocked_total",
     "requests_blocked": "fetch_requests_blocked_total",
@@ -257,7 +258,7 @@ def wire_delta(requests=0, requests_failed=0, short_circuited=0,
 
     Only carries what the measurement record cannot reproduce; the
     rest of a site's stable delta is derived from the measurement
-    itself at ingest time (and again at resume-rehydration time).
+    itself when the run is read.
     """
     delta = {
         "requests": requests,
@@ -275,7 +276,7 @@ def failure_cause(measurement) -> str:
     cause = getattr(measurement, "budget_cause", None)
     if cause:
         return str(cause)
-    reason = (getattr(measurement, "failure_reason", None) or "").strip()
+    reason = str(getattr(measurement, "failure_reason", None) or "").strip()
     if not reason:
         return "unknown"
     return reason.split(":", 1)[0].strip()[:48] or "unknown"
@@ -371,12 +372,12 @@ class MetricsRegistry:
                     wire: Optional[Dict[str, Any]] = None) -> None:
         """Fold one recorded site into the stable series.
 
-        ``measurement`` is the site's :class:`SiteMeasurement` (fresh
-        or recovered from a shard record); ``wire`` is the sibling
-        delta built by :func:`wire_delta` in the measuring process, or
-        None when the site never ran (quarantine synthesis, old runs).
-        Ingest is per recorded site, so totals are a pure function of
-        the recorded set — the kill+resume determinism hinge.
+        ``measurement`` is the site's :class:`SiteMeasurement` or a
+        view of its shard record; ``wire`` is the sibling delta built
+        by :func:`wire_delta` in the measuring process, or None when
+        the site never ran (quarantine synthesis, old runs).  Ingest
+        is per recorded site, so totals are a pure function of the
+        recorded set — the kill+resume determinism hinge.
         """
         self.inc("crawl_sites_started_total", condition=condition)
         if getattr(measurement, "measured", False):
@@ -414,6 +415,16 @@ class MetricsRegistry:
                      condition=condition)
         self.observe("crawl_site_requests", float(requests),
                      condition=condition)
+
+    def ingest_record(self, condition: str,
+                      record: Dict[str, Any]) -> None:
+        """Fold one measurement-shard record into the stable series."""
+        raw = record["measurement"]
+        site = SimpleNamespace(**raw)
+        site.measured = _as_count(raw.get("rounds_ok")) > 0
+        wire = record.get("metrics")
+        self.ingest_site(condition, site,
+                         wire if isinstance(wire, dict) else None)
 
     # -- snapshots -----------------------------------------------------
 

@@ -7,15 +7,19 @@ may be pointed at a run another process is actively appending to.
 Everything here reads the durable artifacts the crawl already
 maintains:
 
-* ``metrics.jsonl`` — the registry snapshots the metrics pump appends
-  on its heartbeat cadence (:mod:`repro.core.runmetrics`); the latest
-  snapshot carries the progress counters, per-condition breakdown,
-  worker gauges and failure causes.
+* ``shard-<condition>.jsonl`` — the measurement records.  Progress
+  and every stable metric series are derived from them at read time,
+  folding the last record per domain through
+  :meth:`~repro.core.runmetrics.MetricsRegistry.ingest_record`.
+* ``metrics.jsonl`` — the unstable snapshots (worker RSS, heartbeat
+  ages, fault counters) the metrics pump appends on its heartbeat
+  cadence; their ``at``/``done`` envelope gives the throughput.
+  Stable series in snapshots of older builds are ignored.
 * ``manifest.json`` / ``quarantine.json`` / ``leases.json`` /
   ``run.lock`` — run identity, strike table, fencing state, liveness.
 
-A torn tail on ``metrics.jsonl`` (a snapshot append in flight) is
-silently dropped, never repaired from here — repair belongs to
+A torn tail on a shard or on ``metrics.jsonl`` (an append in flight)
+is silently dropped, never repaired from here — repair belongs to
 ``repro fsck --repair`` under the lock.
 """
 
@@ -25,6 +29,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core import runmetrics
 from repro.core.checkpoint import (
     LEASES_NAME,
     MANIFEST_NAME,
@@ -32,6 +37,8 @@ from repro.core.checkpoint import (
     QUARANTINE_NAME,
     CheckpointError,
     load_metrics_records,
+    load_shard_records,
+    shard_name,
 )
 from repro.core.reporting import render_table
 from repro.core.runmetrics import metrics_digest, series_value
@@ -66,26 +73,88 @@ def load_metrics_snapshots(
     return load_metrics_records(path, repair=False)
 
 
-def latest_snapshot(run_dir: str) -> Optional[Dict[str, Any]]:
-    """The most recent snapshot envelope, or None."""
+def _manifest(run_dir: str) -> Dict[str, Any]:
+    manifest = _read_json(os.path.join(run_dir, MANIFEST_NAME))
+    if manifest is None:
+        raise StatusError(
+            "%s: no readable %s — not a run directory"
+            % (run_dir, MANIFEST_NAME)
+        )
+    return manifest
+
+
+def read_sites(
+    run_dir: str, manifest: Dict[str, Any],
+    corrupt: Optional[List[str]] = None,
+) -> Dict[str, Dict[str, Dict[str, Any]]]:
+    """condition -> domain -> last record of its measurement shard.
+
+    Read-only: a torn trailing write (an append in flight) is dropped,
+    not repaired.  A shard corrupt mid-file raises
+    :class:`~repro.core.checkpoint.CheckpointError` or, given a
+    ``corrupt`` list, is named there and read as empty.
+    """
+    sites: Dict[str, Dict[str, Dict[str, Any]]] = {}
+    for condition in map(str, manifest.get("conditions", [])):
+        path = os.path.join(run_dir, shard_name(condition))
+        records: List[Dict[str, Any]] = []
+        if os.path.exists(path):
+            try:
+                records, _ = load_shard_records(path, repair=False)
+            except CheckpointError:
+                if corrupt is None:
+                    raise
+                corrupt.append(shard_name(condition))
+        sites[condition] = {record["domain"]: record for record in records}
+    return sites
+
+
+def run_series(
+    sites: Dict[str, Dict[str, Dict[str, Any]]],
+    latest: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The stable series of ``condition -> domain -> record``, plus the
+    unstable series of the ``latest`` snapshot envelope when given."""
+    registry = runmetrics.MetricsRegistry()
+    for condition, by_domain in sites.items():
+        for record in by_domain.values():
+            registry.ingest_record(condition, record)
+    if latest is None:
+        return registry.snapshot()
+    unstable = [
+        entry for entry in latest["metrics"].get("series", ())
+        if not entry.get("stable")
+    ]
+    return runmetrics.merge_snapshots(registry.snapshot(),
+                                      {"series": unstable})
+
+
+def metrics_view(run_dir: str) -> Dict[str, Any]:
+    """The latest snapshot envelope, carrying the run's full series.
+
+    Stable series come from the shards; the latest ``metrics.jsonl``
+    snapshot contributes its unstable series and its envelope (a run
+    without snapshots, e.g. ``--no-metrics``, gets the stable series
+    alone).  Corrupt files raise
+    :class:`~repro.core.checkpoint.CheckpointError`.
+    """
+    sites = read_sites(run_dir, _manifest(run_dir))
     records, _ = load_metrics_snapshots(run_dir)
-    return records[-1] if records else None
+    latest = records[-1] if records else None
+    view = dict(latest) if latest is not None else {}
+    view["metrics"] = run_series(sites, latest)
+    return view
 
 
 def run_metrics_digest(run_dir: str) -> str:
-    """Digest of the latest snapshot's stable series.
+    """Digest of the run's stable series, derived from its shards.
 
     The determinism matrix keys on this: two runs of the same
     configuration must agree whatever their process topology, kill
-    schedule or chaos arm.
+    schedule, chaos arm or ``--no-metrics`` setting.
     """
-    last = latest_snapshot(run_dir)
-    if last is None:
-        raise StatusError(
-            "%s: no metrics snapshots (crawl run with --no-metrics?)"
-            % run_dir
-        )
-    return metrics_digest(last["metrics"])
+    sites = read_sites(run_dir, _manifest(run_dir))
+    return metrics_digest(run_series(sites))
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +287,13 @@ def _faults(snapshot: Dict[str, Any]) -> Dict[str, int]:
 
 
 def build_status(run_dir: str) -> Dict[str, Any]:
-    """Assemble the full status view of one run directory."""
-    manifest = _read_json(os.path.join(run_dir, MANIFEST_NAME))
-    if manifest is None:
-        raise StatusError(
-            "%s: no readable %s — not a run directory"
-            % (run_dir, MANIFEST_NAME)
-        )
+    """Assemble the full status view of one run directory.
+
+    Corrupt files are reported, not raised: a corrupt ``metrics.jsonl``
+    reads as no snapshots, a shard corrupt mid-file as no sites and a
+    name under ``corrupt_shards``.
+    """
+    manifest = _manifest(run_dir)
     conditions = [str(c) for c in manifest.get("conditions", [])]
     n_domains = int(manifest.get("n_domains", 0))
     total = n_domains * len(conditions)
@@ -234,12 +303,13 @@ def build_status(run_dir: str) -> Dict[str, Any]:
     except CheckpointError:
         records, torn = [], 0
     latest = records[-1] if records else None
-
-    done = dict(latest.get("done", {})) if latest is not None else {}
-    done_total = sum(done.values())
-    if latest is not None:
-        total = int(latest.get("total", total))
     rate, eta = _throughput(records)
+
+    corrupt: List[str] = []
+    sites = read_sites(run_dir, manifest, corrupt)
+    done = {condition: len(sites[condition]) for condition in conditions}
+    done_total = sum(done.values())
+    snapshot = run_series(sites, latest)
 
     lock_payload = read_lock(os.path.join(run_dir, LOCK_NAME))
     lock_pid = (
@@ -282,21 +352,18 @@ def build_status(run_dir: str) -> Dict[str, Any]:
             "total": sum(int(n) for n in strikes.values()),
         },
         "leases": sum(len(by) for by in leases.values()),
+        "corrupt_shards": corrupt,
         "metrics": {
             "snapshots": len(records),
             "torn_tail": bool(torn),
             "last_seq": latest.get("seq") if latest else None,
             "last_kind": latest.get("kind") if latest else None,
         },
+        "by_condition": _condition_breakdown(snapshot, conditions),
+        "failure_causes": _failure_causes(snapshot),
+        "workers": _workers(snapshot),
+        "faults": _faults(snapshot),
     }
-    if latest is not None:
-        snapshot = latest["metrics"]
-        status["by_condition"] = _condition_breakdown(
-            snapshot, conditions
-        )
-        status["failure_causes"] = _failure_causes(snapshot)
-        status["workers"] = _workers(snapshot)
-        status["faults"] = _faults(snapshot)
     return status
 
 
@@ -372,6 +439,9 @@ def status_text(status: Dict[str, Any]) -> str:
             "%s=%d" % (key, value)
             for key, value in sorted(faults.items())
         )]
+    if status["corrupt_shards"]:
+        lines += ["", "corrupt  %s (see repro fsck)"
+                  % ", ".join(status["corrupt_shards"])]
     strikes = status["strikes"]
     lines += ["", "strikes  %d across %d domain(s)    leases %d" % (
         strikes["total"], strikes["domains"], status["leases"],

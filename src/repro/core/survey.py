@@ -50,7 +50,6 @@ from repro.minijs.compile import CompileCache, shared_cache
 from repro.monkey.crawler import CrawlConfig, SiteCrawler
 from repro.net.fetcher import Fetcher
 from repro.net.resilience import ResilienceConfig
-from repro.timing import merge_phases, phase_delta, phase_snapshot
 from repro.webgen.sitegen import SyntheticWeb
 from repro.webidl.registry import FeatureRegistry
 
@@ -206,13 +205,10 @@ class SurveyConfig:
     #: counts and trace digests (tests/test_engine_differential.py) —
     #: so this only selects how fast scripts run.
     engine: str = "compiled"
-    #: record runtime metrics (see :mod:`repro.core.runmetrics`).  On
-    #: by default: the stable series are harvested once per finished
-    #: site from counters the crawl keeps anyway, so the cost is noise
-    #: (``BENCH_metrics.json`` gates it at <=5%).  With a run
-    #: directory, merged registry snapshots are appended to
-    #: ``metrics.jsonl`` for ``repro status`` / ``repro metrics``;
-    #: without one the per-site deltas are computed and discarded.
+    #: with a run directory, append snapshots of the unstable runtime
+    #: metrics (:mod:`repro.core.runmetrics`: RSS, heartbeats, fault
+    #: counters) to ``metrics.jsonl``; readers derive the stable
+    #: series from the shards either way.
     metrics: bool = True
     #: seconds between durable metrics snapshots (the heartbeat
     #: cadence); site completions also snapshot when the interval has
@@ -311,9 +307,6 @@ class SurveyResult:
     #: evictions, error_hits, parse_seconds, compiled_bytes, entries),
     #: summed across the parent and every parallel worker
     compile_cache: Dict[str, float] = field(default_factory=dict)
-    #: exclusive wall seconds per pipeline phase (fetch / parse /
-    #: execute / monkey), likewise summed across processes
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: process-fault counters from the parallel supervisor (watchdog
     #: kills, frame corruptions absorbed, stale lease results fenced,
     #: typed worker faults, spawn retries, lease revocations, memory
@@ -566,16 +559,14 @@ def _measure_site(
     (:func:`repro.core.runmetrics.wire_delta`): the cumulative fetcher
     and metered-interpreter counters snapshotted around the site in
     the measuring process, so they cover exactly this site's work
-    whatever process measured it.  None when metrics are off.
+    whatever process measured it.
     """
-    before = None
-    if config.metrics:
-        fetcher = crawler.browser.fetcher
-        before = (
-            fetcher.requests_issued, fetcher.requests_failed,
-            fetcher.requests_short_circuited, fetcher.bytes_fetched,
-            crawler.steps_executed, crawler.allocations_counted,
-        )
+    fetcher = crawler.browser.fetcher
+    before = (
+        fetcher.requests_issued, fetcher.requests_failed,
+        fetcher.requests_short_circuited, fetcher.bytes_fetched,
+        crawler.steps_executed, crawler.allocations_counted,
+    )
     tracer = obs.current_tracer()
     trace = None
     if tracer is None:
@@ -593,19 +584,14 @@ def _measure_site(
                              measured=measurement.measured)
         root = tracer.take_root()
         trace = obs.span_to_dict(root) if root is not None else None
-    wire = None
-    if before is not None:
-        fetcher = crawler.browser.fetcher
-        wire = runmetrics.wire_delta(
-            requests=fetcher.requests_issued - before[0],
-            requests_failed=fetcher.requests_failed - before[1],
-            short_circuited=(
-                fetcher.requests_short_circuited - before[2]
-            ),
-            bytes_fetched=fetcher.bytes_fetched - before[3],
-            steps=crawler.steps_executed - before[4],
-            allocations=crawler.allocations_counted - before[5],
-        )
+    wire = runmetrics.wire_delta(
+        requests=fetcher.requests_issued - before[0],
+        requests_failed=fetcher.requests_failed - before[1],
+        short_circuited=fetcher.requests_short_circuited - before[2],
+        bytes_fetched=fetcher.bytes_fetched - before[3],
+        steps=crawler.steps_executed - before[4],
+        allocations=crawler.allocations_counted - before[5],
+    )
     return measurement, trace, wire
 
 
@@ -652,8 +638,8 @@ def _prewarm_compile_cache(
 # is what makes the fallback correct on fork-less platforms.
 _worker_state: Dict[str, object] = {}
 
-#: Per-worker baseline of the inherited (fork) compile-cache/timing
-#: counters, so each worker reports only its own delta to the parent.
+#: Per-worker baseline of the inherited (fork) compile-cache counters,
+#: so each worker reports only its own delta to the parent.
 _worker_baseline: Dict[str, Dict[str, float]] = {}
 
 
@@ -665,7 +651,6 @@ def _parallel_worker_init(
     domains: Sequence[str],
 ) -> None:
     _worker_baseline["cache"] = shared_cache().counters()
-    _worker_baseline["phases"] = phase_snapshot()
     _prewarm_compile_cache(web, domains, lower=config.engine == "compiled")
     # Tracer goes in after the prewarm so warm-up parses never build
     # spans; each worker records its own sites' traces and ships them
@@ -690,8 +675,7 @@ def _parallel_measure(
     domain: str,
     lease_epoch: Optional[int] = None,
 ) -> Tuple[SiteMeasurement, Optional[Dict[str, object]],
-           Optional[Dict[str, int]], int,
-           Dict[str, float], Dict[str, float]]:
+           Optional[Dict[str, int]], int, Dict[str, float]]:
     """Measure one site; piggyback this worker's cumulative stats.
 
     The parent keeps the per-pid elementwise maximum (the counters are
@@ -709,8 +693,7 @@ def _parallel_measure(
     cache_delta = CompileCache.counter_delta(
         shared_cache().counters(), _worker_baseline["cache"]
     )
-    phases = phase_delta(_worker_baseline["phases"])
-    return measurement, trace, wire, os.getpid(), cache_delta, phases
+    return measurement, trace, wire, os.getpid(), cache_delta
 
 
 def _quarantined_measurement(
@@ -991,7 +974,6 @@ class _CrawlSupervisor:
         #: lease-epoch fallback when no checkpoint persists them
         self.local_leases: Dict[str, int] = {}
         self.worker_cache: Dict[int, Dict[str, float]] = {}
-        self.worker_phases: Dict[int, Dict[str, float]] = {}
         #: indices already finished — dedupes the race where a struck
         #: worker's result was in the pipe when it was killed
         self.finished: Set[int] = set()
@@ -1160,8 +1142,6 @@ class _CrawlSupervisor:
                 pump.hooks.remove(self._metrics_gauges)
         for cache in self.worker_cache.values():
             stats.add_cache(cache)
-        for phases in self.worker_phases.values():
-            stats.add_phases(phases)
         stats.add_proc({
             "watchdog_kills": self.kills,
             "frame_errors": self.frame_errors,
@@ -1332,7 +1312,7 @@ class _CrawlSupervisor:
         if index in self.finished:
             return  # a requeued duplicate landed first
         self.finished.add(index)
-        measurement, trace, wire, pid, cache, phases = payload
+        measurement, trace, wire, pid, cache = payload
         if trace is not None:
             self._annotate_frame_notes(slot, trace)
         else:
@@ -1348,9 +1328,6 @@ class _CrawlSupervisor:
         self.buffered[index] = (measurement, trace, epoch, wire)
         self.worker_cache[pid] = _elementwise_max(
             self.worker_cache.get(pid, {}), cache
-        )
-        self.worker_phases[pid] = _elementwise_max(
-            self.worker_phases.get(pid, {}), phases
         )
 
     def _annotate_frame_notes(self, slot: int, trace) -> None:
@@ -1525,21 +1502,16 @@ def _elementwise_max(
 
 
 class _CrawlStats:
-    """Accumulates compile-cache and phase-timing deltas for a run."""
+    """Accumulates compile-cache deltas and process faults for a run."""
 
     def __init__(self) -> None:
         self.cache: Dict[str, float] = {}
-        self.phases: Dict[str, float] = {}
         self.proc: Dict[str, int] = {}
         self._cache_start = shared_cache().counters()
-        self._phases_start = phase_snapshot()
 
     def add_cache(self, delta: Dict[str, float]) -> None:
         for key, value in delta.items():
             self.cache[key] = self.cache.get(key, 0.0) + value
-
-    def add_phases(self, delta: Dict[str, float]) -> None:
-        merge_phases(self.phases, delta)
 
     def add_proc(self, delta: Dict[str, int]) -> None:
         for key, value in delta.items():
@@ -1554,18 +1526,16 @@ class _CrawlStats:
         self.add_cache(CompileCache.counter_delta(
             shared_cache().counters(), self._cache_start
         ))
-        self.add_phases(phase_delta(self._phases_start))
         self.cache["entries"] = float(len(shared_cache()))
 
 
 class _MetricsPump:
     """Durably snapshots the merged metrics registry on a cadence.
 
-    The parent registry holds the run's stable series (rehydrated from
-    the shards on resume, fed by ``record``) plus the parent's own
-    unstable gauges; each worker's latest cumulative snapshot arrives
-    over :data:`~repro.core.ipc.KIND_METRICS` frames and is folded in
-    only at snapshot-build time.  Every snapshot is appended to
+    The parent registry holds the supervisor's fault counters and the
+    parent's own unstable gauges; each worker's latest cumulative
+    snapshot arrives over :data:`~repro.core.ipc.KIND_METRICS` frames
+    and is folded in only at snapshot-build time.  Every snapshot is appended to
     ``metrics.jsonl`` through the checkpoint's crash-safe storage
     path, so a torn tail is repairable and ``seq`` continues across
     resume without duplication.
@@ -1630,7 +1600,7 @@ class _MetricsPump:
         })
 
     def final(self) -> None:
-        """The run's last word: totals equal the durable shards'."""
+        """The run's last snapshot, forced whatever the cadence."""
         self.maybe(force=True, kind="final")
 
 
@@ -1673,14 +1643,6 @@ def _crawl_condition(
                 )
             checkpoint.append(measurement, lease_epoch=lease_epoch,
                               metrics=site_metrics)
-        # Ingest strictly *after* the durable append: the registry's
-        # stable totals then never exceed what the shards hold, so a
-        # snapshot taken between any two sites cross-checks clean.
-        metrics_registry = runmetrics.current_registry()
-        if metrics_registry is not None:
-            metrics_registry.ingest_site(
-                condition, measurement, site_metrics
-            )
         if pump is not None:
             pump.maybe()
         completed += 1
@@ -1797,26 +1759,14 @@ def run_survey(
         with guard:
             stats = _CrawlStats()
             if config.metrics and checkpoint is not None:
-                # The run-wide registry lives in the parent.  Stable
-                # series are rehydrated from the durable shards (not
-                # carried over in memory), so a resumed run's totals
-                # are a pure function of the recorded site set —
-                # bit-identical to an uninterrupted run's.
+                # The run-wide registry lives in the parent and holds
+                # only how this execution went; the stable series are
+                # derived from the shards by whoever reads the run.
                 metrics_registry = runmetrics.MetricsRegistry()
                 previous_registry = runmetrics.set_registry(
                     metrics_registry
                 )
                 metrics_installed = True
-                for condition in config.conditions:
-                    recovered = checkpoint.done(condition)
-                    if not recovered:
-                        continue
-                    siblings = checkpoint.site_metrics(condition)
-                    for domain, measurement in recovered.items():
-                        metrics_registry.ingest_site(
-                            condition, measurement,
-                            siblings.get(domain),
-                        )
                 pump = _MetricsPump(
                     metrics_registry, checkpoint,
                     total=len(domains) * len(config.conditions),
@@ -1891,7 +1841,6 @@ def run_survey(
             registry=registry,
             wall_seconds=time.perf_counter() - started,
             compile_cache=stats.cache,
-            phase_seconds=stats.phases,
             process_faults=stats.proc_faults(),
         )
         if checkpoint is not None:

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Optional, Union
 from repro.minijs import ast
 from repro.minijs.errors import JSLexError, JSParseError
 from repro.minijs.parser import parse as _parse
-from repro.timing import phase as timed_phase
+from repro.obs import phase
 
 _CompileOutcome = Union[ast.Program, JSLexError, JSParseError]
 
@@ -92,7 +92,7 @@ class CompileCache:
         hit against a body already known to be broken.
         """
         if not self.enabled:
-            with timed_phase("parse"):
+            with phase("parse"):
                 return _parse(source)
         key = source_key(source)
         cached = self._entries.get(key)
@@ -106,7 +106,7 @@ class CompileCache:
         self.misses += 1
         started = time.perf_counter()
         outcome: _CompileOutcome
-        with timed_phase("parse"):
+        with phase("parse"):
             try:
                 outcome = _parse(source)
             except (JSLexError, JSParseError) as error:

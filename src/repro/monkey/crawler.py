@@ -36,7 +36,6 @@ from repro.monkey.gremlins import Gremlins, MonkeyConfig
 from repro.net.resilience import merge_degraded
 from repro.net.url import Url
 from repro.seeding import derive_seed
-from repro.timing import phase
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ class SiteCrawler:
         result.requests_blocked += page.requests_blocked
         gremlins = Gremlins(page, rng, self.config.monkey)
         try:
-            with phase("monkey"):
+            with obs.phase("monkey"):
                 gremlins.run()
         except BudgetExceeded as error:
             result.interaction_events += gremlins.events_fired

@@ -15,7 +15,7 @@ from repro.minijs.compile import shared_cache
 from repro.minijs.errors import JSLexError, JSParseError
 from repro.net.fetcher import Fetcher
 from repro.net.resources import Request, Response
-from repro.timing import phase
+from repro.obs import phase
 
 _HEAD_OPEN_RE = re.compile(r"<head(\s[^>]*)?>", re.IGNORECASE)
 _HTML_OPEN_RE = re.compile(r"<html(\s[^>]*)?>", re.IGNORECASE)

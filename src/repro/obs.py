@@ -45,6 +45,7 @@ __all__ = [
     "UNSTABLE_PHASES",
     "current_tracer",
     "event",
+    "phase",
     "set_tracer",
     "span",
     "span_to_dict",
@@ -242,6 +243,20 @@ def event(name: str, stable: bool = True, **attrs: Any) -> None:
     tracer = _TRACER
     if tracer is not None:
         tracer.event(name, stable=stable, **attrs)
+
+
+def phase(name: str):
+    """``with phase("fetch"):`` — record a block as a ``phase:<name>`` span.
+
+    The pipeline's one phase timer: per-phase time is read from the
+    spans (``repro trace``), so an untraced crawl times nothing.
+    Phases in :data:`UNSTABLE_PHASES` are flagged unstable.
+    """
+    tracer = _TRACER
+    if tracer is None:
+        return _NULL_SPAN
+    return tracer.span("phase:%s" % name,
+                       stable=name not in UNSTABLE_PHASES)
 
 
 # -- structural digest -------------------------------------------------

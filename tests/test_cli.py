@@ -135,6 +135,51 @@ class TestCrawlCommands:
         assert code == 0
         assert "skipped" in output
 
+    def test_survey_without_blocking_skips_block_rates(
+        self, registry, tmp_path
+    ):
+        """Every surface reading a default-only survey renders what it
+        can and names what needs the blocking condition."""
+        from repro.core.persistence import save_survey
+        from repro.core.survey import SurveyConfig, run_survey
+        from repro.webgen.sitegen import build_web
+
+        result = run_survey(
+            build_web(registry, n_sites=6, seed=3), registry,
+            SurveyConfig(conditions=("default",), visits_per_site=1),
+        )
+        saved = str(tmp_path / "default-only.json")
+        save_survey(result, saved)
+        reason = "survey lacks the blocking condition"
+
+        code, output = run_cli("survey", "--load", saved,
+                               "--report", "all")
+        assert code == 0
+        for name in ("table2", "figure4", "figure6"):
+            assert "== %s == (skipped: %s)" % (name, reason) in output
+        assert "Blocked >90% of the time:     skipped (" + reason \
+            in output
+        assert "== table1 ==" in output
+
+        for command in ("figures", "export"):
+            out_dir = str(tmp_path / command)
+            code, output = run_cli(command, "--load", saved,
+                                   "--out", out_dir)
+            assert code == 0, command
+            assert "figure4 skipped: %s" % reason in output
+            assert "figure3 -> " in output
+
+        code, output = run_cli("compare", "--load", saved)
+        assert code in (0, 1)
+        rows = [line.split() for line in output.splitlines()]
+        assert ["SKIP", "features", "blocked", ">90%"] in [
+            row[:4] for row in rows
+        ]
+        labels = [row[0] for row in rows if row]
+        passing, failing = labels.count("PASS"), labels.count("FAIL")
+        assert "%d/%d checks pass (%d skipped)" % (
+            passing, passing + failing, labels.count("SKIP")) in output
+
     def test_export_command(self, tmp_path):
         out_dir = str(tmp_path / "data")
         code, output = run_cli(

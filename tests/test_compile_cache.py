@@ -254,21 +254,29 @@ class TestCachedVsUncachedEquivalence:
         assert cache.enabled
 
     def test_survey_surfaces_cache_and_phase_stats(
-        self, registry, small_web
+        self, registry, small_web, tmp_path
     ):
+        from repro.core.tracereport import load_trace_records
+
         config = SurveyConfig(
             conditions=("default",), visits_per_site=1, seed=5,
-            max_sites=4,
+            max_sites=4, trace=True,
         )
-        result = run_survey(small_web, registry, config)
+        run_dir = str(tmp_path / "run")
+        result = run_survey(small_web, registry, config, run_dir=run_dir)
         assert result.compile_cache["misses"] >= 0
         assert result.compile_cache["hits"] > 0
-        assert set(result.phase_seconds) <= {
-            "fetch", "parse", "execute", "monkey"
-        }
-        assert result.phase_seconds["execute"] > 0.0
+        # Per-phase time is recorded as phase:* spans in the trace.
+        names = set()
+        pending = [r["trace"] for r in load_trace_records(run_dir)]
+        while pending:
+            node = pending.pop()
+            names.add(node["name"])
+            pending.extend(node.get("children", ()))
+        assert {"phase:fetch", "phase:execute", "phase:monkey"} <= names
 
     def test_timing_report_renders(self, registry, small_web):
+        from repro.cli import _REPORTS
         from repro.core import reporting
 
         config = SurveyConfig(
@@ -276,8 +284,8 @@ class TestCachedVsUncachedEquivalence:
             max_sites=3,
         )
         result = run_survey(small_web, registry, config)
-        text = reporting.timing_report_text(result)
+        text = _REPORTS["timing"](result)
         assert "Cache hits" in text
-        assert "execute" in text
+        assert "execute" not in text  # phase time: repro trace
         progress = reporting.progress_report_text(result)
         assert "Compile cache" in progress

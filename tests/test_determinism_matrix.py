@@ -11,10 +11,10 @@ One table of guarantees, enforced exhaustively:
 * the **structural trace digest** is identical across every traced
   cell of a chaos arm — span names, attributes, nesting and
   virtual-clock timestamps are execution-mode independent;
-* the **stable metrics digest** (the final ``metrics.jsonl``
-  snapshot's stable series) is identical across every cell of a
-  chaos arm — counters are a function of the recorded site set, not
-  of the process topology that produced it;
+* the **stable metrics digest** (the stable series derived from the
+  run's shards) is identical across every cell of a chaos arm —
+  counters are a function of the recorded site set, not of the
+  process topology that produced it;
 * tracing off writes no trace shards at all;
 * a different survey seed produces *different* digests (the oracle
   can actually fail);

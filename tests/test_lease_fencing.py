@@ -41,7 +41,7 @@ def make_measurement(domain, condition="default"):
 
 
 def result_item(index, domain, epoch, pid=123):
-    payload = (make_measurement(domain), None, None, pid, {}, {})
+    payload = (make_measurement(domain), None, None, pid, {})
     return (0, index, domain, epoch, payload)
 
 

@@ -133,6 +133,27 @@ class TestModuleHelpers:
         root = tracer.take_root()
         assert [c.name for c in root.children] == ["ping"]
 
+    def test_phase_is_a_noop_when_off(self):
+        with obs.phase("fetch") as node:
+            assert node is None
+
+    def test_phase_records_nested_phase_spans(self):
+        tracer = Tracer()
+        obs.set_tracer(tracer)
+        with obs.span("page"):
+            with obs.phase("execute"):
+                with obs.phase("fetch"):
+                    pass
+            with obs.phase("parse"):
+                pass
+        root = tracer.take_root()
+        execute, parse = root.children
+        assert execute.name == "phase:execute" and execute.stable
+        assert [c.name for c in execute.children] == ["phase:fetch"]
+        assert execute.real_ms >= execute.children[0].real_ms
+        # Cache misses decide whether parse runs: never in the digest.
+        assert parse.name == "phase:parse" and not parse.stable
+
     def test_set_tracer_returns_previous(self):
         first = Tracer()
         assert obs.set_tracer(first) is None

@@ -78,6 +78,17 @@ class TestValidation:
         with pytest.raises(persistence.PersistenceError):
             persistence.load_survey(str(path), registry=registry)
 
+    def test_survey_with_phase_seconds_still_loads(self, survey,
+                                                   registry):
+        """Surveys saved with per-phase wall times load unchanged."""
+        data = persistence.survey_to_dict(survey)
+        assert "phase_seconds" not in data
+        data["phase_seconds"] = {"fetch": 0.5, "execute": 2.0}
+        loaded = persistence.survey_from_dict(data, registry=registry)
+        assert persistence.survey_digest(loaded) == (
+            persistence.survey_digest(survey)
+        )
+
     def test_fingerprint_stable(self, registry):
         assert persistence.registry_fingerprint(registry) == (
             persistence.registry_fingerprint(registry)

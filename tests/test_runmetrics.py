@@ -13,6 +13,7 @@ import pytest
 
 from repro.browser.session import SiteMeasurement
 from repro.core import runmetrics
+from repro.core.persistence import measurement_to_dict
 from repro.core.runmetrics import (
     FRAME_BYTES_BUCKETS,
     METRIC_SPECS,
@@ -25,6 +26,7 @@ from repro.core.runmetrics import (
     stable_projection,
     wire_delta,
 )
+from repro.net.resilience import DegradedResource
 
 
 def measured_site(domain="a.test", condition="default", **overrides):
@@ -291,6 +293,54 @@ class TestIngestSite:
                  if e["name"] == "crawl_site_pages"][0]
         assert pages["count"] == 2
         assert pages["sum"] == pytest.approx(13.0)
+
+    def test_failed_site_that_degraded_counts_as_degraded(self):
+        """The degraded series counts every record listing lost
+        subresources — a failed site's too — live or read back."""
+        site = failed_site(
+            degraded=[DegradedResource("subresource:script",
+                                       "http://f.test/a.js")],
+            degraded_resources=1,
+        )
+        live, recorded = MetricsRegistry(), MetricsRegistry()
+        live.ingest_site("default", site, None)
+        recorded.ingest_record(
+            "default", {"measurement": measurement_to_dict(site)}
+        )
+        for registry in (live, recorded):
+            snap = registry.snapshot()
+            assert series_value(snap, "crawl_sites_degraded_total",
+                                condition="default") == 1
+            assert series_value(snap, "crawl_sites_failed_total",
+                                condition="default",
+                                cause="host not found") == 1
+            assert series_value(snap, "crawl_sites_measured_total",
+                                condition="default") is None
+        assert (metrics_digest(live.snapshot())
+                == metrics_digest(recorded.snapshot()))
+        assert "failed sites included" in (
+            METRIC_SPECS["crawl_sites_degraded_total"].help
+        )
+
+    def test_recorded_values_are_coerced_to_counts(self):
+        """Values read from disk pass through the count coercion."""
+        registry = MetricsRegistry()
+        registry.ingest_record("default", {
+            "measurement": {"rounds_ok": "1", "pages": -3,
+                            "invocations": 2.0, "failure_reason": 7},
+            "metrics": {"requests": True, "steps": 5},
+        })
+        snap = registry.snapshot()
+        assert series_value(snap, "crawl_sites_failed_total",
+                            condition="default", cause="7") == 1
+        assert series_value(snap, "crawl_pages_visited_total",
+                            condition="default") is None
+        assert series_value(snap, "crawl_feature_invocations_total",
+                            condition="default") == 2
+        assert series_value(snap, "fetch_requests_total",
+                            condition="default") is None
+        assert series_value(snap, "interp_steps_total",
+                            condition="default") == 5
 
     def test_wire_delta_drops_zero_entries(self):
         assert wire_delta() == {}

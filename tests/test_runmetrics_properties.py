@@ -14,8 +14,8 @@ algebraically:
   that lets worker snapshots fold in any arrival order;
 * **counters never decrease** — along any interleaving of site
   ingests, every stable counter series in successive snapshots is
-  monotonically non-decreasing (the invariant ``repro fsck`` checks
-  across ``metrics.jsonl``).
+  monotonically non-decreasing (a run read mid-crawl never shows a
+  total its later reads undercut).
 """
 
 import json

@@ -1,17 +1,19 @@
 """The ``repro status`` / ``repro metrics`` surfaces and the
 ``metrics.jsonl`` integrity contract.
 
-* both commands are **read-only**: pointed at a live, locked run they
-  answer without touching the lock or mutating a byte;
-* the OpenMetrics exposition parses and its counters agree with the
-  measurement shards (the same invariant ``repro fsck`` enforces);
+* both commands are **read-only**: pointed at a live, locked run —
+  even one with a torn shard tail — they answer without touching the
+  lock or mutating a byte;
+* the stable series are derived from the measurement shards, so the
+  OpenMetrics exposition agrees with them, a ``--no-metrics`` run has
+  the same metrics digest as a metered one, and stable series in an
+  old-layout snapshot are ignored rather than added;
 * fsck's metrics section catches torn tails (repairing them under
-  ``--repair``), duplicated snapshot seqs, counter regressions, and
-  snapshots that claim more telemetry than the shards hold;
+  ``--repair``) and duplicated snapshot seqs;
 * a crawl killed mid-run and resumed produces a ``metrics.jsonl``
-  whose seqs never duplicate and whose final stable digest is
-  bit-identical to an uninterrupted run's — including when the kill
-  is an ``os._exit`` at a storage crashpoint inside an append.
+  whose seqs never duplicate and a stable digest bit-identical to an
+  uninterrupted run's — including when the kill is an ``os._exit`` at
+  a storage crashpoint inside an append.
 """
 
 import json
@@ -26,8 +28,14 @@ from repro.core.checkpoint import (
     METRICS_NAME,
     fsck_report,
     load_metrics_records,
+    shard_name,
 )
-from repro.core.statusreport import build_status, run_metrics_digest
+from repro.core.runmetrics import (
+    MetricsRegistry,
+    merge_snapshots,
+    series_value,
+)
+from repro.core.statusreport import run_metrics_digest
 from repro.core.storage import RunLock, Storage
 from repro.core.survey import (
     RetryPolicy,
@@ -117,18 +125,9 @@ class TestStatusCommand:
     def test_read_only_against_a_live_locked_run(self, finished_run):
         """Both surfaces work under a held lock and write nothing."""
         run_dir, _ = finished_run
-
-        def fingerprint():
-            out = {}
-            for name in sorted(os.listdir(run_dir)):
-                path = os.path.join(run_dir, name)
-                with open(path, "rb") as handle:
-                    out[name] = handle.read()
-            return out
-
         lock = RunLock.acquire(run_dir)  # this pid: alive and live
         try:
-            before = fingerprint()
+            before = _fingerprint(run_dir)
             for argv in (
                 ("status", run_dir),
                 ("status", run_dir, "--format", "json"),
@@ -139,9 +138,62 @@ class TestStatusCommand:
                 assert code == 0, argv
             code, output = run_cli("status", run_dir)
             assert "locked by live pid" in output
-            assert fingerprint() == before
+            assert _fingerprint(run_dir) == before
         finally:
             lock.release()
+
+    def test_torn_shard_tail_is_read_not_repaired(self, finished_run,
+                                                  tmp_path):
+        """A site whose append is in flight is not done, and stays
+        on disk exactly as the crawl left it."""
+        src, _ = finished_run
+        run_dir = str(tmp_path / "run")
+        _copy_run(src, run_dir)
+        shard = os.path.join(run_dir, shard_name("default"))
+        with open(shard, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        with open(shard, "wb") as handle:
+            handle.write(b"".join(lines[:-1]) + lines[-1][:40])
+        lock = RunLock.acquire(run_dir)
+        try:
+            before = _fingerprint(run_dir)
+            code, output = run_cli("status", run_dir, "--format", "json")
+            assert code == 0
+            status = json.loads(output)
+            code, metrics = run_cli("metrics", run_dir, "--format", "json")
+            assert code == 0
+            assert run_cli("metrics", run_dir)[0] == 0
+            assert run_cli("status", run_dir)[0] == 0
+            assert _fingerprint(run_dir) == before
+        finally:
+            lock.release()
+        assert status["done"] == {"default": N_SITES - 1}
+        assert status["done_total"] == N_SITES - 1
+        assert status["lock"]["live"]
+        assert status["by_condition"]["default"]["started"] == N_SITES - 1
+        snapshot = json.loads(metrics)["metrics"]
+        assert series_value(snapshot, "crawl_sites_started_total",
+                            condition="default") == N_SITES - 1
+
+    def test_corrupt_shard_is_named_not_raised(self, finished_run,
+                                               tmp_path):
+        src, _ = finished_run
+        run_dir = str(tmp_path / "run")
+        _copy_run(src, run_dir)
+        shard = os.path.join(run_dir, shard_name("default"))
+        with open(shard, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        with open(shard, "wb") as handle:
+            handle.write(b"garbage\n" + b"".join(lines))
+        code, output = run_cli("status", run_dir, "--format", "json")
+        assert code == 0
+        status = json.loads(output)
+        assert status["corrupt_shards"] == [shard_name("default")]
+        assert status["done_total"] == 0
+        code, output = run_cli("status", run_dir)
+        assert code == 0 and "corrupt  shard-default.jsonl" in output
+        code, output = run_cli("metrics", run_dir)
+        assert code == 2 and "checkpoint error" in output
 
 
 class TestMetricsCommand:
@@ -177,23 +229,75 @@ class TestMetricsCommand:
         assert (by_series["browser_interaction_events_total"]
                 == sum(m.interaction_events for m in sites))
 
-    def test_no_snapshots_is_benign(self, registry, web, tmp_path):
+    def test_no_snapshots_is_benign(self, registry, web, tmp_path,
+                                    finished_run):
+        """``--no-metrics`` drops the snapshots, not the stable series."""
         run_dir = str(tmp_path / "run")
         run_survey(web, registry, metrics_config(metrics=False),
                    run_dir=run_dir)
         assert not os.path.exists(os.path.join(run_dir, METRICS_NAME))
+        assert run_metrics_digest(run_dir) == run_metrics_digest(
+            finished_run[0]
+        )
         code, output = run_cli("metrics", run_dir)
         assert code == 0
-        assert "warning" in output
-        code, output = run_cli("status", run_dir)  # degrades gracefully
+        assert ('crawl_sites_started_total{condition="default"} %d'
+                % N_SITES) in output.splitlines()
+        assert "worker_rss_mb" not in output
+        code, output = run_cli("status", run_dir, "--format", "json")
         assert code == 0
-        with pytest.raises(Exception):
-            run_metrics_digest(run_dir)
+        status = json.loads(output)
+        assert status["done_total"] == N_SITES
+        assert status["metrics"]["snapshots"] == 0
+
+    def test_old_layout_snapshot_is_not_double_counted(
+        self, finished_run, tmp_path
+    ):
+        """Stable series in a snapshot written before they were
+        derived are ignored: the shards alone decide them."""
+        src, _ = finished_run
+        run_dir = str(tmp_path / "run")
+        _copy_run(src, run_dir)
+        digest = run_metrics_digest(run_dir)
+        _, expected = run_cli("metrics", run_dir)
+        path = os.path.join(run_dir, METRICS_NAME)
+        with open(path, "r", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert not any(entry["stable"] for record in records
+                       for entry in record["metrics"]["series"])
+        # The old layout: every snapshot also carried the stable
+        # series, here inflated so any use of them shows.
+        old = MetricsRegistry()
+        for _ in range(3):
+            old.inc("crawl_sites_started_total", N_SITES,
+                    condition="default")
+            old.inc("browser_interaction_events_total", 1000,
+                    condition="default")
+        for record in records:
+            record["metrics"] = merge_snapshots(record["metrics"],
+                                                old.snapshot())
+        with open(path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record) + "\n")
+        assert run_metrics_digest(run_dir) == digest
+        code, output = run_cli("metrics", run_dir)
+        assert code == 0 and output == expected
+        code, output = run_cli("status", run_dir, "--format", "json")
+        assert json.loads(output)["by_condition"]["default"][
+            "started"] == N_SITES
 
     def test_not_a_run_dir_is_a_usage_error(self, tmp_path):
         code, output = run_cli("metrics", str(tmp_path))
         assert code == 2
         assert "status error" in output
+
+
+def _fingerprint(run_dir):
+    out = {}
+    for name in sorted(os.listdir(run_dir)):
+        with open(os.path.join(run_dir, name), "rb") as handle:
+            out[name] = handle.read()
+    return out
 
 
 def _copy_run(src, dst):
@@ -215,9 +319,9 @@ class TestFsckMetricsSection:
         run_dir, _ = finished_run
         report = fsck_report(run_dir)
         assert report["ok"]
-        texts = [c["text"] for c in _metrics_checks(report)]
-        assert any("monotonic" in t for t in texts)
-        assert any("telemetry" in t for t in texts)
+        checks = _metrics_checks(report)
+        assert [c["ok"] for c in checks] == [True]
+        assert "snapshot(s)" in checks[0]["text"]
 
     def test_torn_tail_flagged_then_repaired(self, finished_run,
                                              tmp_path):
@@ -249,46 +353,6 @@ class TestFsckMetricsSection:
         assert not report["ok"]
         assert any("duplicate" in c["text"].lower()
                    for c in _metrics_checks(report))
-
-    def test_counter_regression_flagged(self, finished_run, tmp_path):
-        src, _ = finished_run
-        run_dir = str(tmp_path / "run")
-        _copy_run(src, run_dir)
-        path = os.path.join(run_dir, METRICS_NAME)
-        with open(path, "r", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle]
-        # Rewind one stable counter in the final snapshot: a counter
-        # that goes backwards means lost or rewritten history.
-        for entry in records[-1]["metrics"]["series"]:
-            if (entry["name"] == "crawl_sites_started_total"
-                    and entry["labels"] == {"condition": "default"}):
-                entry["value"] -= 1
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-        report = fsck_report(run_dir)
-        assert not report["ok"]
-        assert any("decreas" in c["text"] or "monotonic" in c["text"]
-                   for c in _metrics_checks(report) if not c["ok"])
-
-    def test_overcounting_vs_shards_flagged(self, finished_run,
-                                            tmp_path):
-        src, _ = finished_run
-        run_dir = str(tmp_path / "run")
-        _copy_run(src, run_dir)
-        path = os.path.join(run_dir, METRICS_NAME)
-        with open(path, "r", encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle]
-        for entry in records[-1]["metrics"]["series"]:
-            if entry["name"] == "browser_interaction_events_total":
-                entry["value"] += 1000  # more than the shards recorded
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-        report = fsck_report(run_dir)
-        assert not report["ok"]
-        assert any("telemetry" in c["text"]
-                   for c in _metrics_checks(report) if not c["ok"])
 
 
 class TestKillResumeMetrics:
