@@ -4,7 +4,7 @@ The parallel crawl ships site results from worker processes to the
 supervisor over per-slot pipes.  ``multiprocessing.Connection`` gives
 message boundaries, but nothing protects the *content*: a worker dying
 mid-write, a buggy allocator scribbling on a buffer, or an injected
-fault (``repro.core.procchaos``) can put garbage or a torn prefix on
+fault (``repro.core.faults``) can put garbage or a torn prefix on
 the pipe, and a raw ``pickle.loads`` of that poisons the supervisor —
 the one process that must survive anything a worker does.
 

@@ -513,10 +513,10 @@ def current_memory_governor() -> Optional[MemoryGovernor]:
 
 #: Process-global allocation hook, called from
 #: :meth:`BudgetMeter.charge_allocation` with the running allocation
-#: count.  Exists for deterministic fault injection: the proc-chaos arm
-#: raises a seeded ``MemoryError`` at an exact allocation boundary, the
-#: same boundary in every run.  ``None`` (the default) costs one global
-#: load per allocation.
+#: count.  Exists for deterministic fault injection: a fault plan's
+#: ``memerr`` raises a ``MemoryError`` at an exact allocation
+#: boundary, the same boundary in every run.  ``None`` (the default)
+#: costs one global load per allocation.
 _ALLOC_HOOK: Optional[Callable[[int], None]] = None
 
 

@@ -24,10 +24,11 @@ A write that still fails after the retries raises
 into a structured, *resumable* failure instead of a crash.
 
 :class:`FaultyStorage` is the chaos arm (seeded and deterministic,
-like :class:`repro.net.chaos.ChaosSource` is for the network): it
-injects ENOSPC, EIO and torn/short writes on chosen attempts so the
-retry-and-rollback machinery is exercised for real, by
-``repro chaos --storage`` and the storage-chaos CI job.
+like :class:`repro.core.faults.FaultPlan` is for the network and the
+worker processes, whose seed it takes): it injects ENOSPC, EIO and
+torn/short writes on chosen attempts so the retry-and-rollback
+machinery is exercised for real, by ``repro chaos --arms storage`` and
+the CI chaos job's storage cells.
 
 **Crashpoints** are the third leg: every durability boundary (before
 and after each write, fsync and rename) fires a named crashpoint; the

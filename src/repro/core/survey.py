@@ -218,8 +218,8 @@ class SurveyConfig:
     #: appends, manifest/quarantine/result write-then-rename).  The
     #: default retries transient OSErrors with torn-tail rollback;
     #: swap in :class:`repro.core.storage.FaultyStorage` to chaos-test
-    #: the crawl against ENOSPC/EIO/torn writes (``repro chaos
-    #: --storage``)
+    #: the crawl against ENOSPC/EIO/torn writes (``repro chaos --arms
+    #: storage``)
     storage: Storage = field(default_factory=Storage)
 
 
@@ -821,10 +821,11 @@ def _watchdog_worker_main(
 
     set_heartbeat(beat)
     beat()
-    # Deterministic process-fault injection (``repro chaos --proc``):
-    # the plan rides on the wrapped web source and arms per-(domain,
-    # epoch) faults inside this process.
-    plan = getattr(web, "proc_chaos", None)
+    # Deterministic process-fault injection (``repro chaos --arms
+    # proc``): the :class:`repro.core.faults.FaultPlan` rides on the
+    # wrapped web source and arms per-(domain, epoch) faults inside
+    # this process.
+    plan = getattr(web, "fault_plan", None)
     if plan is not None:
         set_alloc_hook(plan.on_allocation)
     governor: Optional[MemoryGovernor] = None
@@ -987,6 +988,10 @@ class _CrawlSupervisor:
         self.next_flush = 0
         #: sites a typed worker fault handed back for re-dispatch
         self.requeue: deque = deque()
+        #: slots whose worker announced its own exit (a typed fault, or
+        #: a memory-pressure result): ``is_alive()`` stays true until
+        #: the process is gone, but no site may be dispatched to it
+        self.exiting: Set[int] = set()
         #: per-slot corruption slugs awaiting the slot's next good
         #: trace, into which they are folded as unstable frame events
         self.frame_notes: Dict[int, List[str]] = {}
@@ -1044,10 +1049,10 @@ class _CrawlSupervisor:
         ``fork``/``spawn`` can genuinely fail under memory pressure or
         pid exhaustion (EAGAIN/ENOMEM); one failed attempt must not
         abort a crawl the next attempt would carry.  A bounded retry
-        also absorbs the proc-chaos arm's injected fork failures.
+        also absorbs a fault plan's injected fork failures.
         Exhausting the attempts re-raises the last error.
         """
-        plan = getattr(self.web, "proc_chaos", None)
+        plan = getattr(self.web, "fault_plan", None)
         last_error: Optional[OSError] = None
         for _ in range(self._SPAWN_ATTEMPTS):
             try:
@@ -1106,6 +1111,7 @@ class _CrawlSupervisor:
                 conns[slot] = None
         self.decoders[slot] = None
         self.frame_notes.pop(slot, None)
+        self.exiting.discard(slot)
 
     # -- main loop -------------------------------------------------------
 
@@ -1163,7 +1169,7 @@ class _CrawlSupervisor:
             process = self.workers[slot]
             if process is None or not process.is_alive():
                 continue
-            if slot in self.assigned:
+            if slot in self.assigned or slot in self.exiting:
                 continue
             index, domain = todo.popleft()
             if index in self.finished:
@@ -1209,7 +1215,7 @@ class _CrawlSupervisor:
             for slot in list(self.assigned):
                 process = self.workers[slot]
                 if process is None or not process.is_alive():
-                    self._drain()  # last chance for a piped result
+                    self._drain_slot(slot)  # last chance for a result
                     self.assigned.pop(slot, None)
         self.assigned.clear()
 
@@ -1221,33 +1227,49 @@ class _CrawlSupervisor:
             return
         timeout = self._POLL_SECONDS if block else 0
         for conn in connection_wait(conns, timeout=timeout):
-            slot = self.result_conns.index(conn)
-            decoder = self.decoders[slot]
-            try:
-                data = conn.recv_bytes()
-            except (EOFError, OSError):
-                # The worker died (possibly mid-send, tearing its own
-                # pipe — never anyone else's).  Flush the decoder —
-                # whole frames already buffered must not die with the
-                # worker — then stop polling the channel; the watchdog
-                # handles the corpse.
-                conn.close()
-                self.result_conns[slot] = None
-                if decoder is not None:
-                    frames = decoder.finish()
-                    self._note_frame_errors(slot, decoder)
-                    for frame in frames:
-                        self._handle_frame(slot, frame)
-                continue
-            if decoder is None:
-                continue
-            runmetrics.observe("ipc_frame_bytes", float(len(data)))
-            frames = decoder.feed(data)
-            # Corruption notes first: noise preceding a good result on
-            # the same pipe belongs to that result's trace.
-            self._note_frame_errors(slot, decoder)
-            for frame in frames:
-                self._handle_frame(slot, frame)
+            self._read(self.result_conns.index(conn))
+
+    def _drain_slot(self, slot: int) -> None:
+        """Read everything already in one slot's result pipe.
+
+        A worker sends its metrics frame, and any injected pipe noise,
+        ahead of its result, so a single read can leave a dead worker's
+        result unread and strike a site that was in fact measured.
+        """
+        conn = self.result_conns[slot]
+        while conn is not None and conn.poll():
+            self._read(slot)
+            conn = self.result_conns[slot]
+
+    def _read(self, slot: int) -> None:
+        """Receive one message from ``slot``'s result pipe."""
+        conn = self.result_conns[slot]
+        decoder = self.decoders[slot]
+        try:
+            data = conn.recv_bytes()
+        except (EOFError, OSError):
+            # The worker died (possibly mid-send, tearing its own
+            # pipe — never anyone else's).  Flush the decoder — whole
+            # frames already buffered must not die with the worker —
+            # then stop polling the channel; the watchdog handles the
+            # corpse.
+            conn.close()
+            self.result_conns[slot] = None
+            if decoder is not None:
+                frames = decoder.finish()
+                self._note_frame_errors(slot, decoder)
+                for frame in frames:
+                    self._handle_frame(slot, frame)
+            return
+        if decoder is None:
+            return
+        runmetrics.observe("ipc_frame_bytes", float(len(data)))
+        frames = decoder.feed(data)
+        # Corruption notes first: noise preceding a good result on the
+        # same pipe belongs to that result's trace.
+        self._note_frame_errors(slot, decoder)
+        for frame in frames:
+            self._handle_frame(slot, frame)
 
     def _note_frame_errors(self, slot: int, decoder) -> None:
         for error in decoder.take_errors():
@@ -1301,6 +1323,11 @@ class _CrawlSupervisor:
     def _handle_result(self, slot: int, item) -> None:
         _, index, domain, epoch, payload = item
         self.assigned.pop(slot, None)
+        measurement, trace, wire, pid, cache = payload
+        pressured = measurement.budget_cause == MEMORY_PRESSURE_CAUSE
+        if pressured:
+            # The worker shipped this and is recycling itself.
+            self.exiting.add(slot)
         if epoch is not None and epoch != self._current_lease(domain):
             # Fencing: the lease moved on (revoked past its deadline,
             # or struck and re-issued) — this is a replaced worker's
@@ -1312,16 +1339,15 @@ class _CrawlSupervisor:
         if index in self.finished:
             return  # a requeued duplicate landed first
         self.finished.add(index)
-        measurement, trace, wire, pid, cache = payload
         if trace is not None:
             self._annotate_frame_notes(slot, trace)
         else:
             self.frame_notes.pop(slot, None)
-        if measurement.budget_cause == MEMORY_PRESSURE_CAUSE:
-            # The worker measured what it could, shipped it, and is
-            # about to recycle itself.  The measurement stands (it is
-            # honest, if partial); the *site* earns a strike so a
-            # repeat offender is eventually quarantined.
+        if pressured:
+            # The worker measured what it could and shipped it.  The
+            # measurement stands (it is honest, if partial); the *site*
+            # earns a strike so a repeat offender is eventually
+            # quarantined.
             self.memory_recycles += 1
             runmetrics.inc("supervisor_memory_recycles_total")
             self._strike(domain)
@@ -1360,6 +1386,7 @@ class _CrawlSupervisor:
         """
         self.worker_faults += 1
         runmetrics.inc("supervisor_worker_faults_total")
+        self.exiting.add(slot)
         assignment = self.assigned.pop(slot, None)
         if assignment is None:
             return
@@ -1382,6 +1409,11 @@ class _CrawlSupervisor:
             alive = process is not None and process.is_alive()
             assignment = self.assigned.get(slot)
             if assignment is None:
+                if (alive and slot in self.exiting and timeout is not None
+                        and now - self.heartbeats[slot] > timeout):
+                    # Announced its exit but never went: reap it.
+                    self._kill(slot)
+                    alive = False
                 if not alive and (todo or self.requeue):
                     # Died idle (e.g. crashed in init, or recycled
                     # after a fault/pressure exit): replace it.
@@ -1409,7 +1441,7 @@ class _CrawlSupervisor:
             # The worker died, hung or overstayed its lease on this
             # site.  Last chance for an in-flight result to disqualify
             # the strike:
-            self._drain()
+            self._drain_slot(slot)
             if slot not in self.assigned:
                 continue  # its result landed after all
             del self.assigned[slot]

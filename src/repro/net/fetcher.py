@@ -17,17 +17,7 @@ breakers.  The default :class:`ResilienceConfig` is inert, so a bare
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Protocol,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro import obs
 from repro.core.sandbox import heartbeat
@@ -270,109 +260,3 @@ class DictWebSource:
 
     def respond(self, request: Request) -> Optional[Response]:
         return self.pages.get(str(request.url))
-
-
-class FaultInjectingSource:
-    """A web-source wrapper that fails chosen (domain, attempt) pairs.
-
-    Wraps any :class:`WebSource` (including a full synthetic web —
-    unknown attributes delegate to the wrapped object, so the survey
-    runner can crawl through it unchanged) and injects an outage for
-    selected *site-measurement attempts*.
-
-    An attempt is one full pass of ``visits_per_site`` rounds over a
-    site; each round issues exactly one first-try document request for
-    the site's home page, so attempt boundaries are recovered by
-    counting home-page document requests: requests ``(k-1)*R+1 ..
-    k*R`` belong to attempt ``k`` (``R`` = ``rounds_per_attempt``).
-    Request-level *retries* (``request.attempt > 1``) are replays of a
-    counted request and are never counted again, so the boundaries
-    stay put whatever the fetcher's retry policy.  Tests use this to
-    exercise retry-then-succeed, retry-exhausted and mixed-condition
-    behavior deterministically.
-
-    ``scope`` controls the blast radius of a failed attempt:
-
-    * ``"home"`` (default) — only the home-page document fails (the
-      classic whole-site outage: nothing loads because the front door
-      is down);
-    * ``"site"`` — every request to the domain fails during a failed
-      attempt (home page included);
-    * ``"subresources"`` — the home page loads but every *other*
-      request to the domain (deeper documents, scripts, images, XHR)
-      fails: the degraded-page case.
-
-    ``transient=True`` raises :class:`TransientNetworkError` (retry
-    layers re-attempt); ``transient=False`` answers "host not found"
-    (deterministic — not retried).
-    """
-
-    SCOPES = ("home", "site", "subresources")
-
-    def __init__(
-        self,
-        inner: WebSource,
-        fail: Mapping[str, Iterable[int]],
-        rounds_per_attempt: int,
-        reason: str = "injected outage",
-        transient: bool = True,
-        scope: str = "home",
-    ) -> None:
-        if rounds_per_attempt < 1:
-            raise ValueError("rounds_per_attempt must be >= 1")
-        if scope not in self.SCOPES:
-            raise ValueError(
-                "scope must be one of %s" % (self.SCOPES,)
-            )
-        self._inner = inner
-        self._fail: Dict[str, Set[int]] = {
-            domain: set(attempts) for domain, attempts in fail.items()
-        }
-        self._rounds = rounds_per_attempt
-        self.reason = reason
-        self.transient = transient
-        self.scope = scope
-        self._home_requests: Dict[str, int] = {}
-        #: every (domain, attempt) this source actually failed
-        self.injected: List[Tuple[str, int]] = []
-
-    def __getattr__(self, name: str):
-        if name == "_inner":
-            # During unpickling __getattr__ runs before __init__ has
-            # set _inner; without this guard the lookup recurses.
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-    def _current_attempt(self, domain: str) -> int:
-        """The site attempt in progress, from home requests seen."""
-        count = self._home_requests.get(domain, 0)
-        if count == 0:
-            return 1
-        return (count - 1) // self._rounds + 1
-
-    def _fail_now(self, url, attempt: int) -> Optional[Response]:
-        self.injected.append((url.host, attempt))
-        if self.transient:
-            raise TransientNetworkError(url, self.reason)
-        return None
-
-    def respond(self, request: Request) -> Optional[Response]:
-        url = request.url
-        domain = url.host
-        if domain not in self._fail:
-            return self._inner.respond(request)
-        is_home = (
-            request.kind == ResourceKind.DOCUMENT and url.path == "/"
-        )
-        if is_home and getattr(request, "attempt", 1) == 1:
-            count = self._home_requests.get(domain, 0) + 1
-            self._home_requests[domain] = count
-        attempt = self._current_attempt(domain)
-        if attempt in self._fail[domain]:
-            if self.scope == "site":
-                return self._fail_now(url, attempt)
-            if self.scope == "home" and is_home:
-                return self._fail_now(url, attempt)
-            if self.scope == "subresources" and not is_home:
-                return self._fail_now(url, attempt)
-        return self._inner.respond(request)

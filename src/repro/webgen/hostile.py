@@ -35,10 +35,12 @@ domain             what it does / which budget catches it
 The hostile *content* is bounded even unmetered (loops stop, strings
 top out around a megabyte) so an unbudgeted test touching one of these
 sites degrades into an ordinary script-step-limit failure rather than
-eating the machine.  The hang/crash pathologies are network faults,
-not content — :class:`HostileWeb` serves those domains benignly and
-:func:`hostile_web` wraps the whole thing in a
-:class:`~repro.net.chaos.ChaosSource` to arm them.
+eating the machine.  The hang/crash and network pathologies are
+faults, not content — :class:`HostileWeb` serves those domains
+benignly, and :func:`hostile_web` derives a
+:class:`~repro.core.faults.FaultPlan` from each site's pathology and
+wraps the whole thing in a :class:`~repro.core.faults.FaultSource` to
+arm them.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.faults import FaultPlan, FaultSource
 from repro.core.sandbox import ResourceBudget, VirtualClock
-from repro.net.chaos import ChaosSource
 from repro.net.resources import Request, ResourceKind, Response
 from repro.webgen.alexa import RankedSite
 from repro.webgen.thirdparty import ThirdPartyEcosystem
@@ -61,8 +63,13 @@ BUDGET_PATHOLOGIES = (
 POISON_PATHOLOGIES = ("hang", "crash")
 
 #: network-fault pathologies the resilience layer must handle
-#: (served benignly by HostileWeb; armed by the ChaosSource wrapper)
+#: (served benignly by HostileWeb; armed by its fault plan)
 NET_PATHOLOGIES = ("flaky", "trunc", "garbage", "slow")
+
+#: fault pathology -> the net fault kind (repro.core.faults) arming it
+NET_FAULTS = dict(
+    {p: p for p in POISON_PATHOLOGIES + NET_PATHOLOGIES}, trunc="truncate"
+)
 
 #: pathology -> the budget cause its partial measurement must carry
 #: (strings share the allocation budget: both are memory exhaustion)
@@ -190,9 +197,9 @@ class HostileWeb:
 
     Interleaves benign controls among the hostile sites so the
     acceptance run can also assert the crawl still *measures* ordinary
-    sites while its neighbors explode.  The hang/crash domains are
-    listed (and ranked) here but served benignly; arm them by wrapping
-    in a :class:`~repro.net.chaos.ChaosSource` (see
+    sites while its neighbors explode.  The hang/crash and network
+    fault domains are listed (and ranked) here but served benignly;
+    :meth:`net_faults` gives the fault-plan entries that arm them (see
     :func:`hostile_web`).
     """
 
@@ -231,41 +238,13 @@ class HostileWeb:
             )
         self.ranking = HostileRanking(domains)
 
-    @property
-    def hang_domains(self) -> Tuple[str, ...]:
-        return tuple(
-            d for d, s in self.sites.items() if s.pathology == "hang"
-        )
-
-    @property
-    def crash_domains(self) -> Tuple[str, ...]:
-        return tuple(
-            d for d, s in self.sites.items() if s.pathology == "crash"
-        )
-
-    @property
-    def flaky_domains(self) -> Tuple[str, ...]:
-        return tuple(
-            d for d, s in self.sites.items() if s.pathology == "flaky"
-        )
-
-    @property
-    def truncate_domains(self) -> Tuple[str, ...]:
-        return tuple(
-            d for d, s in self.sites.items() if s.pathology == "trunc"
-        )
-
-    @property
-    def garbage_domains(self) -> Tuple[str, ...]:
-        return tuple(
-            d for d, s in self.sites.items() if s.pathology == "garbage"
-        )
-
-    @property
-    def slow_domains(self) -> Tuple[str, ...]:
-        return tuple(
-            d for d, s in self.sites.items() if s.pathology == "slow"
-        )
+    def net_faults(self) -> Dict[str, Dict[str, List[str]]]:
+        """``{domain: {"net": [kind]}}`` for every fault pathology."""
+        return {
+            domain: {"net": [NET_FAULTS[site.pathology]]}
+            for domain, site in self.sites.items()
+            if site.pathology in NET_FAULTS
+        }
 
     # -- WebSource ------------------------------------------------------
 
@@ -299,7 +278,7 @@ class HostileWeb:
     def _page_html(self, site: HostileSite) -> str:
         if site.pathology in ("trunc", "garbage"):
             # Benign script first, padding second: the body damage the
-            # chaos wrapper inflicts lands in the padding's tail.
+            # fault plan inflicts lands in the padding's tail.
             return (
                 "<html><head><title>%s</title></head>"
                 "<body><p>pathology: %s</p><script>%s</script>"
@@ -319,17 +298,8 @@ def hostile_web(include_poison: bool = True, include_net: bool = False):
     web = HostileWeb(
         include_poison=include_poison, include_net=include_net
     )
-    if not include_poison and not include_net:
-        return web
-    return ChaosSource(
-        web,
-        hang_domains=web.hang_domains,
-        crash_domains=web.crash_domains,
-        flaky_domains=web.flaky_domains,
-        truncate_domains=web.truncate_domains,
-        garbage_domains=web.garbage_domains,
-        slow_domains=web.slow_domains,
-    )
+    faults = web.net_faults()
+    return FaultSource(web, FaultPlan(faults)) if faults else web
 
 
 def chaos_budget() -> ResourceBudget:

@@ -319,3 +319,38 @@ class TestChaosCommand:
         report = report_path.read_text()
         assert "by cause:" in report
         assert "steps.chaos" in report
+
+    def test_arms_parse_as_a_set(self):
+        parser = build_parser()
+        assert parser.parse_args(["chaos"]).arms == {"budget"}
+        args = parser.parse_args(["chaos", "--arms", "proc,net,proc"])
+        assert args.arms == {"proc", "net"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--arms", ""], ["--arms", "budget,disk"],
+        ["--net"], ["--storage"], ["--proc"],
+    ])
+    def test_unknown_arms_are_usage_errors(self, argv):
+        assert main(["chaos"] + argv) == 2
+
+    @pytest.mark.parametrize("arms", ["storage", "proc"])
+    def test_reference_checked_arms_need_a_run_dir(self, arms):
+        code, output = run_cli("chaos", "--arms", arms)
+        assert code == 2
+        assert "--run-dir" in output
+
+    def test_reference_crawl_stays_inside_the_run_dir(self, tmp_path):
+        run_dir = tmp_path / "run"
+        # A sibling the command must neither read nor write.
+        (tmp_path / "run-clean").mkdir()
+        (tmp_path / "run-clean" / "manifest.json").write_text("{}")
+        code, output = run_cli(
+            "chaos", "--arms", "proc,storage", "--visits", "1",
+            "--run-dir", str(run_dir),
+        )
+        assert code == 0, output
+        assert "0 missed" in output
+        assert "reference.metrics-digest" in output
+        assert (run_dir / "reference" / "manifest.json").exists()
+        assert (tmp_path / "run-clean" / "manifest.json").read_text() == "{}"
+        assert main(["fsck", str(run_dir)]) == 0

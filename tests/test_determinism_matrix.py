@@ -29,6 +29,7 @@ import pytest
 from repro import obs
 from repro.core import persistence
 from repro.core.checkpoint import CheckpointError, trace_shard_name
+from repro.core.faults import FaultPlan, FaultSource
 from repro.core.survey import (
     RetryPolicy,
     SurveyConfig,
@@ -37,7 +38,6 @@ from repro.core.survey import (
 )
 from repro.core.statusreport import run_metrics_digest
 from repro.core.tracereport import load_trace_records
-from repro.net.chaos import ChaosSource
 from repro.net.resilience import ALL_HOSTS, ResilienceConfig
 from repro.webgen.hostile import chaos_budget
 from repro.webgen.sitegen import build_web
@@ -96,12 +96,10 @@ def clean_web(registry):
 def chaos_source(clean_web):
     """Every request flaky, one site stalled past any deadline."""
     slow = clean_web.ranking.all()[3].domain
-    return ChaosSource(
-        clean_web,
-        flaky_domains=(ALL_HOSTS,),
-        slow_domains=(slow,),
-        slow_seconds=45.0,
-    )
+    return FaultSource(clean_web, FaultPlan({
+        ALL_HOSTS: {"net": ["flaky"]},
+        slow: {"net": ["slow"]},
+    }))
 
 
 @pytest.fixture(scope="module")

@@ -10,15 +10,11 @@ did not, never crash, never mis-attribute.
 import pytest
 
 from repro.browser import Browser, BrowserConfig
+from repro.core.faults import FaultPlan, FaultSource, Outage
 from repro.core.persistence import measurement_to_dict
 from repro.core.survey import RetryPolicy, SurveyConfig, run_survey
 from repro.monkey import Gremlins, MonkeyConfig, SiteCrawler
-from repro.net.fetcher import (
-    DictWebSource,
-    FaultInjectingSource,
-    Fetcher,
-    NetworkError,
-)
+from repro.net.fetcher import DictWebSource, Fetcher
 from repro.net.resources import Request, ResourceKind, Response
 from repro.net.url import Url
 from repro.webgen.sitegen import build_web
@@ -192,6 +188,14 @@ def _retry_config(attempts=3, **kwargs):
     return SurveyConfig(**kwargs)
 
 
+def outage_source(inner, fail, rounds, **options):
+    """``inner`` with an :class:`Outage` failing ``fail``'s attempts."""
+    return FaultSource(inner, FaultPlan({
+        domain: {"net": [Outage(attempts, rounds, **options)]}
+        for domain, attempts in fail.items()
+    }))
+
+
 def _without_attempts(measurement):
     data = measurement_to_dict(measurement)
     data.pop("attempts")
@@ -201,7 +205,7 @@ def _without_attempts(measurement):
 class TestRetryPolicy:
     """The per-site retry matrix, driven by deterministic injection.
 
-    :class:`FaultInjectingSource` fails chosen (domain, attempt)
+    An :class:`Outage` fails chosen (domain, attempt)
     pairs; each test checks one row of the matrix: retry-then-succeed,
     retry-exhausted, deterministic-not-retried, mixed-condition, and
     an exception escaping the crawl machinery.
@@ -233,9 +237,7 @@ class TestRetryPolicy:
 
     def test_retry_then_succeed(self, registry, flaky_web, clean,
                                 target):
-        source = FaultInjectingSource(
-            flaky_web, {target: {1}}, rounds_per_attempt=VISITS
-        )
+        source = outage_source(flaky_web, {target: {1}}, VISITS)
         result = run_survey(source, registry, _retry_config())
         m = result.measurement("default", target)
         assert m.measured
@@ -253,9 +255,7 @@ class TestRetryPolicy:
 
     def test_retry_exhausted_records_cause(self, registry, flaky_web,
                                            clean, target):
-        source = FaultInjectingSource(
-            flaky_web, {target: {1, 2}}, rounds_per_attempt=VISITS
-        )
+        source = outage_source(flaky_web, {target: {1, 2}}, VISITS)
         result = run_survey(source, registry,
                             _retry_config(attempts=2))
         m = result.measurement("default", target)
@@ -275,9 +275,8 @@ class TestRetryPolicy:
                                                flaky_web, clean,
                                                target):
         """NXDOMAIN-style failures burn one attempt, not three."""
-        source = FaultInjectingSource(
-            flaky_web, {target: {1}}, rounds_per_attempt=VISITS,
-            transient=False,
+        source = outage_source(
+            flaky_web, {target: {1}}, VISITS, transient=False
         )
         result = run_survey(source, registry, _retry_config())
         m = result.measurement("default", target)
@@ -294,9 +293,7 @@ class TestRetryPolicy:
         crawl spends attempt 1, so injecting at attempt 2 hits the
         blocking-condition crawl only.
         """
-        source = FaultInjectingSource(
-            flaky_web, {target: {2}}, rounds_per_attempt=VISITS
-        )
+        source = outage_source(flaky_web, {target: {2}}, VISITS)
         result = run_survey(source, registry, _retry_config())
         default_m = result.measurement("default", target)
         blocking_m = result.measurement("blocking", target)
@@ -380,8 +377,8 @@ class TestInjectionScopes:
     def test_subresources_scope_degrades_instead_of_failing(
         self, registry
     ):
-        source = FaultInjectingSource(
-            self._site_web(), {"inj.test": {1}}, rounds_per_attempt=1,
+        source = outage_source(
+            self._site_web(), {"inj.test": {1}}, 1,
             scope="subresources",
         )
         result = self._crawl(registry, source)
@@ -405,8 +402,8 @@ class TestInjectionScopes:
         assert source.injected == [("inj.test", 1)] * 3
 
     def test_site_scope_takes_the_home_page_down_too(self, registry):
-        source = FaultInjectingSource(
-            self._site_web(), {"inj.test": {1}}, rounds_per_attempt=1,
+        source = outage_source(
+            self._site_web(), {"inj.test": {1}}, 1,
             scope="site",
         )
         result = self._crawl(registry, source)
@@ -419,9 +416,9 @@ class TestInjectionScopes:
         """Degraded sites stay *measured* and disjoint from failed."""
         web = build_web(registry, n_sites=4, seed=21)
         domains = [r.domain for r in web.ranking.all()]
-        source = FaultInjectingSource(
+        source = outage_source(
             web, {d: {1, 2, 3} for d in domains},
-            rounds_per_attempt=VISITS, scope="subresources",
+            VISITS, scope="subresources",
         )
         result = run_survey(source, registry, _retry_config())
         degraded = result.degraded_domains("default")

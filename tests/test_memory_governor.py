@@ -7,11 +7,14 @@ balloon.  These tests cover the latch itself, the heartbeat coupling,
 the serial degrade path, and the parallel recycle-and-strike path.
 """
 
+import json
 import multiprocessing
+import os
 
 import pytest
 
 from repro.core import persistence, sandbox
+from repro.core.checkpoint import QUARANTINE_NAME
 from repro.core.sandbox import (
     MEMORY_PRESSURE_CAUSE,
     BudgetExceeded,
@@ -140,21 +143,16 @@ class TestSerialGovernance:
     reason="parallel governance test needs fork workers",
 )
 class TestParallelGovernance:
-    def test_pressured_workers_recycle_and_strike(
-        self, registry, small_web, monkeypatch
-    ):
-        # Fork workers inherit the patched probe; each one latches on
-        # its first site, ships the partial measurement, and exits —
-        # the supervisor strikes the site, counts the recycle, and
-        # respawns a fresh worker for the remaining sites.
-        monkeypatch.setattr(sandbox, "_default_rss_probe",
-                            lambda: 512.0)
+    def _crawl_pressured(self, registry, small_web, tmp_path, method,
+                         ceiling):
+        run_dir = str(tmp_path / "run")
         result = run_survey(
             small_web, registry, make_config(
-                workers=2, start_method="fork", hang_timeout=15.0,
-                max_worker_rss_mb=256.0, quarantine_threshold=10,
+                workers=2, start_method=method, hang_timeout=15.0,
+                max_worker_rss_mb=ceiling, quarantine_threshold=10,
                 budget=ResourceBudget(max_allocations=10_000_000),
             ),
+            run_dir=run_dir,
         )
         measured = result.measurements["default"]
         assert len(measured) == N_SITES
@@ -163,3 +161,33 @@ class TestParallelGovernance:
                     == MEMORY_PRESSURE_CAUSE), measurement.domain
         faults = result.process_faults
         assert faults.get("memory_recycles") == N_SITES, faults
+        # A recycling worker announced its exit with its result: no
+        # site may be dispatched to it, die with it and strike.
+        assert faults.get("watchdog_kills", 0) == 0, faults
+        with open(os.path.join(run_dir, QUARANTINE_NAME),
+                  encoding="utf-8") as handle:
+            strikes = json.load(handle)["strikes"]
+        assert strikes == dict.fromkeys(measured, 1)
+
+    def test_pressured_workers_recycle_and_strike(
+        self, registry, small_web, monkeypatch, tmp_path
+    ):
+        # Fork workers inherit the patched probe; each one latches on
+        # its first site, ships the partial measurement, and exits —
+        # the supervisor strikes the site, counts the recycle, and
+        # respawns a fresh worker for the remaining sites.
+        monkeypatch.setattr(sandbox, "_default_rss_probe",
+                            lambda: 512.0)
+        self._crawl_pressured(registry, small_web, tmp_path, "fork",
+                              256.0)
+
+    def test_pressured_spawn_workers_recycle_and_strike(
+        self, registry, small_web, tmp_path
+    ):
+        # Spawn workers re-import the real probe, whose high-water mark
+        # always exceeds a 1 MB ceiling.
+        pytest.importorskip("resource")
+        if "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("start method 'spawn' unavailable")
+        self._crawl_pressured(registry, small_web, tmp_path, "spawn",
+                              1.0)

@@ -29,7 +29,7 @@ from repro.core.survey import (
     resume_survey,
     run_survey,
 )
-from repro.net.chaos import ChaosSource
+from repro.core.faults import FaultPlan, FaultSource
 from repro.net.resilience import ALL_HOSTS, ResilienceConfig
 from repro.net.resources import ResourceKind
 from repro.webgen.hostile import chaos_budget, hostile_web
@@ -40,7 +40,7 @@ WEB_SEED = 55
 VISITS = 2
 SURVEY_SEED = 7
 
-#: absorbs flaky_failures=1: one retry after the first failed attempt
+#: absorbs ``flaky``: one retry after the first failed attempt
 RESILIENT = ResilienceConfig(request_attempts=2)
 
 
@@ -64,7 +64,7 @@ def clean_web(registry):
 @pytest.fixture(scope="module")
 def flaky_web(clean_web):
     """Every request to every host fails on its first attempt."""
-    return ChaosSource(clean_web, flaky_domains=(ALL_HOSTS,))
+    return FaultSource(clean_web, FaultPlan({ALL_HOSTS: {"net": ["flaky"]}}))
 
 
 @pytest.fixture(scope="module")
@@ -232,12 +232,10 @@ class TestChaosDeterminism:
     def chaos_web(self, registry):
         web = build_web(registry, n_sites=8, seed=WEB_SEED)
         slow = web.ranking.all()[3].domain
-        source = ChaosSource(
-            web,
-            flaky_domains=(ALL_HOSTS,),
-            slow_domains=(slow,),
-            slow_seconds=45.0,
-        )
+        source = FaultSource(web, FaultPlan({
+            ALL_HOSTS: {"net": ["flaky"]},
+            slow: {"net": ["slow"]},
+        }))
         return source, slow
 
     def chaos_config(self, **overrides):

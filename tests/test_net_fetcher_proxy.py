@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core.faults import FaultPlan, FaultSource, Outage
 from repro.net.fetcher import (
     DictWebSource,
-    FaultInjectingSource,
     Fetcher,
     NetworkError,
     TransientNetworkError,
@@ -176,9 +176,9 @@ class TestTransientPropagation:
         return InjectingProxy(Fetcher(source), "hook();")
 
     def test_transient_error_keeps_type_and_flag(self, source):
-        outage = FaultInjectingSource(
-            source, {"site.com": [1]}, rounds_per_attempt=1
-        )
+        outage = FaultSource(source, FaultPlan(
+            {"site.com": {"net": [Outage({1}, rounds=1)]}}
+        ))
         proxy = self._proxied(outage)
         with pytest.raises(TransientNetworkError) as exc:
             proxy.fetch(doc_request())

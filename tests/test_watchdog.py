@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.core.checkpoint import QUARANTINE_NAME, SurveyCheckpoint
+from repro.core.faults import FaultPlan, FaultSource
 from repro.core.sandbox import QUARANTINE_CAUSE
 from repro.core.survey import RetryPolicy, SurveyConfig, run_survey
 from repro.webgen.hostile import (
@@ -29,7 +30,6 @@ from repro.webgen.hostile import (
     chaos_budget,
     hostile_web,
 )
-from repro.net.chaos import ChaosSource
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -144,9 +144,9 @@ class TestQuarantineOnResume:
             checkpoint.add_strike("crash.chaos")
         checkpoint.close()
 
-        armed = ChaosSource(
-            web, hang_domains=web.hang_domains, hang_seconds=2.0
-        )
+        armed = FaultSource(web, FaultPlan(
+            {"hang.chaos": {"net": ["hang"]}}, hang_seconds=2.0
+        ))
         started = time.perf_counter()
         result = run_survey(
             armed, registry, config, run_dir=run_dir, resume=True
