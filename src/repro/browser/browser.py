@@ -117,6 +117,16 @@ class PageVisit:
         """
         return self.page_scripts_executed > 0
 
+    def close(self) -> None:
+        """End the page's life: tear down its realm, if it has one.
+
+        :meth:`Browser.visit_page` returns a live page; whoever is done
+        with it closes it (``contextlib.closing``), so refcounting
+        frees the realm instead of the cycle collector.
+        """
+        if self.realm is not None:
+            self.realm.close()
+
 
 class Browser:
     """An instrumented browser bound to a fetcher and an extension set."""

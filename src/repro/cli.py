@@ -717,14 +717,15 @@ def _command_chaos(args, out) -> int:
     a small synthetic web.
     ``proc`` and ``storage`` faults must cost wall-clock, never
     measurements: the run is re-crawled with both off into
-    ``<run-dir>/reference``, and the digests must match.  Any miss is
+    ``<run-dir>/reference`` (the hang and crash sites struck out up
+    front, never dispatched), and the digests must match.  Any miss is
     a nonzero exit — this is the CI smoke test.
     """
     import os
     from dataclasses import replace as replace_config
 
     from repro.core import persistence
-    from repro.core.checkpoint import fsck_run_dir
+    from repro.core.checkpoint import SurveyCheckpoint, fsck_run_dir
     from repro.core.faults import LAYERS, FaultPlan, FaultSource
     from repro.core.sandbox import QUARANTINE_CAUSE, ResourceBudget
     from repro.core.statusreport import run_metrics_digest
@@ -774,6 +775,9 @@ def _command_chaos(args, out) -> int:
         {**net_faults, **proc_faults}, seed=args.seed,
         spawn_failures=2 if "proc" in arms else 0,
     )
+    # The sites whose worker the plan takes down on every dispatch:
+    # quarantine is their only verdict.
+    poison = plan.domains("net", "hang") + plan.domains("net", "crash")
     config = SurveyConfig(
         conditions=(BrowsingCondition.DEFAULT,),
         visits_per_site=max(1, args.visits),
@@ -823,8 +827,7 @@ def _command_chaos(args, out) -> int:
         for domain in controls:
             m = result.measurement(condition, domain)
             check(domain, m.measured, "rounds_ok=%d" % m.rounds_ok)
-        for domain in (plan.domains("net", "hang")
-                       + plan.domains("net", "crash")):
+        for domain in poison:
             m = result.measurement(condition, domain)
             check(domain, m.budget_cause == QUARANTINE_CAUSE,
                   "budget_cause=%s" % m.budget_cause)
@@ -870,11 +873,22 @@ def _command_chaos(args, out) -> int:
     if referenced:
         # The same crawl with the storage and proc arms off: what was
         # measured must not depend on what the disk or the worker
-        # processes went through.
+        # processes went through.  The poison sites are struck out up
+        # front, so the reference records their verdicts without
+        # dispatching them again (and waiting out the hang a second
+        # time).  Only those: a site the faulty run struck out wrongly
+        # is measured here, and the digests tell.
         reference_dir = os.path.join(args.run_dir, "reference")
+        checkpoint = SurveyCheckpoint.attach(
+            reference_dir, registry, config, result.domains
+        )
+        for domain in poison:
+            for _ in range(config.quarantine_threshold):
+                checkpoint.add_strike(domain)
+        checkpoint.close()
         reference = run_survey(
             FaultSource(web, FaultPlan(net_faults, seed=args.seed)),
-            registry, config, run_dir=reference_dir, resume=False,
+            registry, config, run_dir=reference_dir, resume=True,
         )
         for name, digest, faulty, clean in (
             ("reference.digest", persistence.survey_digest,

@@ -19,6 +19,7 @@ aborting the run.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
@@ -787,8 +788,9 @@ def _watchdog_worker_main(
     dedicated pipe; ``None`` means shut down.  Results go back over
     the slot's own result pipe as checksummed :mod:`repro.core.ipc`
     frames: a ``KIND_RESULT`` frame carrying the pickled ``(slot,
-    index, domain, lease_epoch, payload)`` (payload matching
-    :func:`_parallel_measure`'s return value), or a ``KIND_FAULT``
+    index, domain, lease_epoch, payload, exiting)`` (payload matching
+    :func:`_parallel_measure`'s return value; ``exiting`` is true when
+    the worker leaves after this result), or a ``KIND_FAULT``
     frame carrying a typed fault report when the worker must recycle
     itself (currently: ``MemoryError`` escaping a measurement).  The
     framing means a worker dying mid-write tears at a frame boundary
@@ -833,6 +835,10 @@ def _watchdog_worker_main(
         governor = MemoryGovernor(config.max_worker_rss_mb)
         set_memory_governor(governor)
     _parallel_worker_init(web, registry, config, condition, domains)
+    # Spawned workers built their set-up heap just now; forked ones
+    # add their crawler to the parent's.  The worker never unfreezes:
+    # the heap lives until it exits.
+    gc.freeze()
     while True:
         # Poll with a short timeout and beat on every pass, so an
         # *idle* worker (result sent, next task not yet assigned)
@@ -891,19 +897,21 @@ def _watchdog_worker_main(
                     result_conn.send_bytes(noise)
                 except (BrokenPipeError, OSError):
                     pass
+        # A latched governor means this process leaves: ``ru_maxrss``
+        # is a high-water mark it can never shed.  The decision rides
+        # on the result, so the supervisor dispatches nothing more to
+        # this slot; the governor may have latched during the site's
+        # last page, leaving the measurement itself without a cause.
+        exiting = governor is not None and governor.pressured
         try:
             _send_frame(
                 result_conn,
-                (slot, index, domain, lease_epoch, payload),
+                (slot, index, domain, lease_epoch, payload, exiting),
             )
         except (BrokenPipeError, OSError):
             break  # parent closed our pipe: we are being replaced
         beat()
-        if governor is not None and governor.pressured:
-            # The measurement just shipped carries the memory-pressure
-            # cause; ``ru_maxrss`` is a high-water mark this process
-            # can never shed, so exit and let the supervisor respawn a
-            # fresh worker into the slot.
+        if exiting:
             break
 
 
@@ -989,7 +997,7 @@ class _CrawlSupervisor:
         #: sites a typed worker fault handed back for re-dispatch
         self.requeue: deque = deque()
         #: slots whose worker announced its own exit (a typed fault, or
-        #: a memory-pressure result): ``is_alive()`` stays true until
+        #: a result frame declaring it): ``is_alive()`` stays true until
         #: the process is gone, but no site may be dispatched to it
         self.exiting: Set[int] = set()
         #: per-slot corruption slugs awaiting the slot's next good
@@ -1007,7 +1015,7 @@ class _CrawlSupervisor:
         self.lease_releases = 0
         #: injected or real spawn failures retried through
         self.spawn_retries = 0
-        #: accepted measurements carrying the memory-pressure cause
+        #: workers that declared their exit for memory pressure
         self.memory_recycles = 0
 
     # -- strikes ---------------------------------------------------------
@@ -1321,13 +1329,15 @@ class _CrawlSupervisor:
                              float(len(self.assigned)))
 
     def _handle_result(self, slot: int, item) -> None:
-        _, index, domain, epoch, payload = item
+        _, index, domain, epoch, payload, exiting = item
         self.assigned.pop(slot, None)
         measurement, trace, wire, pid, cache = payload
-        pressured = measurement.budget_cause == MEMORY_PRESSURE_CAUSE
-        if pressured:
-            # The worker shipped this and is recycling itself.
+        if exiting:
+            # The worker shipped this and is recycling itself: its
+            # governor latched, whether or not the measurement shows it.
             self.exiting.add(slot)
+            self.memory_recycles += 1
+            runmetrics.inc("supervisor_memory_recycles_total")
         if epoch is not None and epoch != self._current_lease(domain):
             # Fencing: the lease moved on (revoked past its deadline,
             # or struck and re-issued) — this is a replaced worker's
@@ -1343,13 +1353,11 @@ class _CrawlSupervisor:
             self._annotate_frame_notes(slot, trace)
         else:
             self.frame_notes.pop(slot, None)
-        if pressured:
+        if measurement.budget_cause == MEMORY_PRESSURE_CAUSE:
             # The worker measured what it could and shipped it.  The
             # measurement stands (it is honest, if partial); the *site*
             # earns a strike so a repeat offender is eventually
             # quarantined.
-            self.memory_recycles += 1
-            runmetrics.inc("supervisor_memory_recycles_total")
             self._strike(domain)
         self.buffered[index] = (measurement, trace, epoch, wire)
         self.worker_cache[pid] = _elementwise_max(
@@ -1786,6 +1794,7 @@ def run_survey(
     metrics_installed = False
     previous_registry: Optional[runmetrics.MetricsRegistry] = None
     pump: Optional[_MetricsPump] = None
+    frozen = False
     guard = _DrainGuard()
     try:
         with guard:
@@ -1811,6 +1820,13 @@ def run_survey(
             _prewarm_compile_cache(
                 web, domains, lower=config.engine == "compiled"
             )
+            # The set-up heap (registry, web, compile cache) outlives
+            # every page; frozen, full collections stop rescanning it,
+            # and forked workers stop touching its pages.  A caller's
+            # freeze is left alone: unfreezing would undo it.
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                frozen = True
             # The tracer goes in after the prewarm (warm-up parses are
             # not crawl work) and comes out in the finally below, so a
             # crawl never leaks tracing state into the caller's
@@ -1891,6 +1907,8 @@ def run_survey(
                 pass
         raise
     finally:
+        if frozen:
+            gc.unfreeze()
         if config.trace:
             obs.set_tracer(previous_tracer)
         if metrics_installed:

@@ -153,16 +153,8 @@ class DomRealm:
         meter: Optional[Any] = None,
         engine: str = "compiled",
     ) -> None:
-        from repro.minijs.codegen import (
-            flush_inline_caches,
-            interpreter_class,
-        )
+        from repro.minijs.codegen import interpreter_class
 
-        # Compiled-code inline caches pin the previous realm's
-        # prototype graph; cross-realm hits are impossible (fresh
-        # prototype identities per realm), so flush them here and let
-        # the collector reclaim the dead page promptly.
-        flush_inline_caches()
         kwargs = {} if step_limit is None else {"step_limit": step_limit}
         self.interp = interpreter_class(engine)(seed=seed, **kwargs)
         # Site-level resource budgets (repro.core.sandbox): the meter
@@ -886,3 +878,54 @@ class DomRealm:
                 self.timer_errors.append(str(error))
             executed += 1
         return executed
+
+    # ------------------------------------------------------------------
+    # Teardown
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """End the page's life: break the realm's own reference cycles.
+
+        A realm is one cyclic graph (prototypes and constructors point
+        at each other, host closures point back at the realm, nodes at
+        their wrappers), so refcounting alone never frees it and the
+        cycle collector would drag it through its old generations.
+        Closing frees it the moment the last outside reference goes.
+
+        Only per-realm containers are cleared, and they are replaced
+        rather than emptied in place: the shared stubs, the measuring
+        extension's shims and the compiled code they point at stay
+        untouched for the next realm.  No ``JSObject`` setter runs (no
+        prototype-epoch bump) and no meter is charged.  The realm is
+        unusable afterwards.
+        """
+        from repro.minijs.codegen import flush_inline_caches
+
+        # Filled inline-cache sites pin the prototypes they last
+        # resolved against; no later realm can hit them anyway.
+        flush_inline_caches()
+        stack = [self.document_node]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            node.children = []
+            node.parent = None
+            node.listeners = {}
+            node.compiled_attr_handlers = {}
+            wrapper = node.wrapper
+            if wrapper is not None:
+                wrapper.host_data = None
+                wrapper.properties = {}
+                wrapper._watchers = {}
+                node.wrapper = None
+        for table in (self.prototypes, self.constructors, self.singletons):
+            for obj in table.values():
+                obj.properties = {}
+                obj._watchers = {}
+        self.prototypes = {}
+        self.constructors = {}
+        self.singletons = {}
+        self.interp.close()
+        self.timers = []
+        self.network_hook = None
+        self.events = None

@@ -83,13 +83,11 @@ _MISS = object()
 
 #: Inline-cache sites filled since the last flush.  Compiled code is
 #: shared across realms but a filled cache pins the realm objects it
-#: last resolved against (the start proto and the owning prototype —
-#: and through their host-function closures, the entire dead realm's
-#: object graph).  Cross-realm hits are impossible anyway (each realm
-#: has fresh prototype identities), so flushing filled sites when a
-#: new realm is built costs nothing and lets the collector reclaim the
-#: previous page's ~10^5-object cyclic realm graph promptly instead of
-#: dragging it through the old GC generations.
+#: last resolved against (the start proto and the owning prototype).
+#: Cross-realm hits are impossible anyway (each realm has fresh
+#: prototype identities), so ``DomRealm.close`` flushes the filled
+#: sites when a page ends: refcounting then frees the dead page at
+#: once, instead of the next realm's construction unpinning it.
 _DIRTY_ICS: List[list] = []
 
 
@@ -1089,7 +1087,7 @@ def _c_member(node: ast.Member, scope: _Scope) -> Callable:
     # (or None for a miss) and re-reads the owner's live property dict
     # on each hit, so plain value overwrites never need invalidation;
     # layout changes are caught by the PROTO_EPOCH comparison, and
-    # filled sites are flushed between realms (see _DIRTY_ICS).
+    # filled sites are flushed when a realm closes (see _DIRTY_ICS).
     cache = [_MISS, -1, None, False]
 
     def run(rt, frame):

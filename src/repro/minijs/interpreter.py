@@ -171,6 +171,24 @@ class Interpreter:
         """Restore the full step budget (called between page scripts)."""
         self.steps = 0
 
+    def close(self) -> None:
+        """Break the realm's builtin cycles; the realm is dead after.
+
+        Builtins are host closures over this interpreter, reachable
+        from its global object, its prototypes and its method tables.
+        Those containers are replaced, not emptied, so nothing shared
+        with another realm is touched, and no setter runs.
+        """
+        for obj in (self.global_object, self.object_prototype,
+                    self.function_prototype, self.array_prototype):
+            obj.properties = {}
+            obj._watchers = {}
+        self.global_env.bindings = {}
+        self._string_methods = {}
+        self._number_methods = {}
+        self.recorder = None
+        self.meter = None
+
     def host_function(
         self, name: str, fn: Callable[["Interpreter", Any, List[Any]], Any]
     ) -> JSFunction:

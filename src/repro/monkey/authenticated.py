@@ -21,6 +21,7 @@ reached — the "closed web premium".
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional, Set
 
@@ -74,15 +75,16 @@ class AuthenticatedCrawler:
         """Perform the login flow; True if a session was established."""
         url = Url.parse("https://%s%s" % (domain, self.login_path))
         page = self.browser.visit_page(url, seed=1)
-        if not page.ok or page.root is None or page.realm is None:
-            return False
-        field = page.root.get_element_by_id("login-user")
-        button = page.root.get_element_by_id("login-btn")
-        if field is None or button is None:
-            return False
-        # A credentialed harness types the real credential.
-        field.attributes["value"] = credential
-        page.realm.events.dispatch(button, "click")
+        with closing(page):
+            if not page.ok or page.root is None or page.realm is None:
+                return False
+            field = page.root.get_element_by_id("login-user")
+            button = page.root.get_element_by_id("login-btn")
+            if field is None or button is None:
+                return False
+            # A credentialed harness types the real credential.
+            field.attributes["value"] = credential
+            page.realm.events.dispatch(button, "click")
         jar = self.browser.storage_for(url)
         return "session" in jar
 
@@ -132,13 +134,14 @@ class AuthenticatedCrawler:
 
         url = Url.parse("https://%s%s" % (domain, self.account_path))
         page = self.browser.visit_page(url, seed=seed)
-        if not page.ok:
-            return
-        result.pages_visited += 1
-        gremlins = Gremlins(
-            page, random.Random(derive_seed(seed, domain, "account")),
-            self.config.monkey,
-        )
-        gremlins.run()
-        result.interaction_events += gremlins.events_fired
-        page.recorder.merge_into_counts(result.feature_counts)
+        with closing(page):
+            if not page.ok:
+                return
+            result.pages_visited += 1
+            gremlins = Gremlins(
+                page, random.Random(derive_seed(seed, domain, "account")),
+                self.config.monkey,
+            )
+            gremlins.run()
+            result.interaction_events += gremlins.events_fired
+            page.recorder.merge_into_counts(result.feature_counts)

@@ -17,6 +17,7 @@ interaction-dependent functionality (validated in section 6 / Table 3).
 from __future__ import annotations
 
 import random
+from contextlib import closing
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
@@ -226,33 +227,37 @@ class SiteCrawler:
         page = self.browser.visit_page(
             url, seed=rng.randrange(1 << 30), meter=meter
         )
-        if page.degraded_total:
-            # Losses fold in whatever happens next: a page that
-            # degraded and then blew a budget still lost them.
-            result.degraded_resources += page.degraded_total
-            merge_degraded(result.degraded, page.degraded)
-        if page.budget_error is not None:
-            self._record_budget_abort(result, page, page.budget_error)
-            return None
-        if not page.ok:
-            if result.failure_reason is None:
-                result.failure_reason = page.failure_reason
-                result.transient = page.transient
-            return None
-        result.pages_visited += 1
-        result.scripts_blocked += page.scripts_blocked
-        result.requests_blocked += page.requests_blocked
-        gremlins = Gremlins(page, rng, self.config.monkey)
-        try:
-            with obs.phase("monkey"):
-                gremlins.run()
-        except BudgetExceeded as error:
+        # The page's life ends with this block, its features merged:
+        # closing it frees its realm rather than leave it to the cycle
+        # collector.
+        with closing(page):
+            if page.degraded_total:
+                # Losses fold in whatever happens next: a page that
+                # degraded and then blew a budget still lost them.
+                result.degraded_resources += page.degraded_total
+                merge_degraded(result.degraded, page.degraded)
+            if page.budget_error is not None:
+                self._record_budget_abort(result, page, page.budget_error)
+                return None
+            if not page.ok:
+                if result.failure_reason is None:
+                    result.failure_reason = page.failure_reason
+                    result.transient = page.transient
+                return None
+            result.pages_visited += 1
+            result.scripts_blocked += page.scripts_blocked
+            result.requests_blocked += page.requests_blocked
+            gremlins = Gremlins(page, rng, self.config.monkey)
+            try:
+                with obs.phase("monkey"):
+                    gremlins.run()
+            except BudgetExceeded as error:
+                result.interaction_events += gremlins.events_fired
+                self._record_budget_abort(result, page, error)
+                return None
             result.interaction_events += gremlins.events_fired
-            self._record_budget_abort(result, page, error)
-            return None
-        result.interaction_events += gremlins.events_fired
-        page.recorder.merge_into_counts(result.feature_counts)
-        return gremlins.harvested_urls, page.executed_any_script
+            page.recorder.merge_into_counts(result.feature_counts)
+            return gremlins.harvested_urls, page.executed_any_script
 
     def _record_budget_abort(
         self, result: VisitResult, page, error: BudgetExceeded

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.checkpoint import LEASES_NAME
+from repro.core.faults import FaultPlan
 
 
 def run_cli(*argv):
@@ -354,3 +357,52 @@ class TestChaosCommand:
         assert (run_dir / "reference" / "manifest.json").exists()
         assert (tmp_path / "run-clean" / "manifest.json").read_text() == "{}"
         assert main(["fsck", str(run_dir)]) == 0
+
+    def test_reference_crawl_never_dispatches_quarantined_sites(
+        self, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        code, output = run_cli(
+            "chaos", "--arms", "budget,storage", "--visits", "1",
+            "--hang-timeout", "2", "--run-dir", str(run_dir),
+        )
+        assert code == 0, output
+        assert "0 missed" in output
+
+        def leases(path):
+            with open(path / LEASES_NAME, encoding="utf-8") as handle:
+                return json.load(handle)["leases"]["default"]
+
+        # Each dispatch issues a lease, and so does the quarantine
+        # record: the faulty run dispatched the poison sites, the
+        # reference only recorded the verdicts it was handed.
+        for domain in ("hang.chaos", "crash.chaos"):
+            assert leases(run_dir)[domain] > 1, domain
+            assert leases(run_dir / "reference")[domain] == 1, domain
+
+    def test_reference_measures_a_wrongly_quarantined_site(
+        self, tmp_path, monkeypatch
+    ):
+        # The injected MemoryError fires on the second lease epoch too,
+        # so the faulty run strikes the memerr site out (threshold 2),
+        # as a supervisor race would.  Only the poison sites are
+        # struck out up front in the reference, which measures this
+        # one: the digests must tell the two runs apart.
+        armed = FaultPlan._armed
+
+        def twice(plan, kind):
+            return armed(plan, kind) or (
+                kind == "memerr" and plan._epoch == 2
+                and kind in plan.kinds(plan._domain, "proc")
+            )
+
+        monkeypatch.setattr(FaultPlan, "_armed", twice)
+        code, output = run_cli(
+            "chaos", "--arms", "proc", "--visits", "1",
+            "--start-method", "fork", "--run-dir", str(tmp_path / "run"),
+        )
+        assert code == 1, output
+        rows = {line.split()[0]: line.split()[-1]
+                for line in output.splitlines()
+                if line.startswith("reference.")}
+        assert rows["reference.digest"] == "MISS", output

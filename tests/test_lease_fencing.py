@@ -40,9 +40,9 @@ def make_measurement(domain, condition="default"):
     return measurement
 
 
-def result_item(index, domain, epoch, pid=123):
+def result_item(index, domain, epoch, pid=123, exiting=False):
     payload = (make_measurement(domain), None, None, pid, {})
-    return (0, index, domain, epoch, payload)
+    return (0, index, domain, epoch, payload, exiting)
 
 
 class TestLeaseIssuance:

@@ -10,10 +10,11 @@ the serial degrade path, and the parallel recycle-and-strike path.
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
-from repro.core import persistence, sandbox
+from repro.core import persistence, sandbox, survey
 from repro.core.checkpoint import QUARANTINE_NAME
 from repro.core.sandbox import (
     MEMORY_PRESSURE_CAUSE,
@@ -25,6 +26,7 @@ from repro.core.sandbox import (
     set_memory_governor,
 )
 from repro.core.survey import RetryPolicy, SurveyConfig, run_survey
+from repro.monkey.crawler import CrawlConfig
 from repro.webgen.sitegen import build_web
 
 N_SITES = 3
@@ -191,3 +193,44 @@ class TestParallelGovernance:
             pytest.skip("start method 'spawn' unavailable")
         self._crawl_pressured(registry, small_web, tmp_path, "spawn",
                               1.0)
+
+    def test_latch_on_a_sites_last_page_is_an_announced_exit(
+        self, registry, monkeypatch, tmp_path
+    ):
+        # One page per site: the first heartbeat latches the governor
+        # during a site's only (so last) page.  No page boundary is
+        # left to record the cause, so the measurement is whole, yet
+        # the worker leaves.  Its result frame must say so: a site
+        # dispatched to it would die with it, as a watchdog kill and
+        # a strike on a site that did nothing wrong.
+        monkeypatch.setattr(sandbox, "_default_rss_probe",
+                            lambda: 512.0)
+        worker_main = survey._watchdog_worker_main
+
+        def slow_exit(*args):
+            # A real worker's teardown takes a while; a slow one makes
+            # sure the supervisor gets to dispatch before it is gone.
+            worker_main(*args)
+            time.sleep(0.5)
+
+        monkeypatch.setattr(survey, "_watchdog_worker_main", slow_exit)
+        web = build_web(registry, n_sites=6, seed=WEB_SEED)
+        run_dir = str(tmp_path / "run")
+        result = run_survey(
+            web, registry, make_config(
+                workers=2, start_method="fork", hang_timeout=15.0,
+                max_worker_rss_mb=256.0, quarantine_threshold=10,
+                crawl=CrawlConfig(depth=0),
+            ),
+            run_dir=run_dir,
+        )
+        measured = result.measurements["default"]
+        assert len(measured) == 6
+        for measurement in measured.values():
+            assert measurement.budget_cause is None, measurement.domain
+        faults = result.process_faults
+        assert faults.get("watchdog_kills", 0) == 0, faults
+        # Every worker latches on its first site and leaves after it.
+        assert faults.get("memory_recycles") == 6, faults
+        # No strike was ever written.
+        assert not os.path.exists(os.path.join(run_dir, QUARANTINE_NAME))

@@ -1,7 +1,7 @@
 """The crawl supervisor around a worker's exit, driven directly.
 
 A worker that announces its own exit (a typed fault frame, or a
-memory-pressure result) must be handed no further site: it would die
+result frame declaring it) must be handed no further site: it would die
 holding it and strike a site that did nothing wrong.  And a dead
 worker's result pipe is read to its end before its site is struck,
 because the metrics frame and any pipe noise travel ahead of the
@@ -87,11 +87,32 @@ class TestAnnouncedExit:
         measurement = make_measurement(domain)
         measurement.budget_cause = MEMORY_PRESSURE_CAUSE
         sup._handle_result(
-            0, (0, index, domain, epoch, (measurement, None, None, 1, {}))
+            0,
+            (0, index, domain, epoch, (measurement, None, None, 1, {}),
+             True),
         )
         sup._dispatch(todo)
         assert len(sup.task_conns[0].sent) == 1
         assert sup.memory_recycles == 1
+
+    def test_declared_exit_ends_dispatch_without_a_strike(
+        self, registry
+    ):
+        # The governor latched during the site's last page: the
+        # measurement carries no cause, but the frame says the worker
+        # is leaving.
+        sup = make_supervisor(registry)
+        todo = deque(enumerate(DOMAINS))
+        sup._dispatch(todo)
+        index, domain, epoch, _ = sup.assigned[0]
+        sup._handle_result(
+            0, result_item(index, domain, epoch, exiting=True)
+        )
+        sup._dispatch(todo)
+        assert len(sup.task_conns[0].sent) == 1
+        assert 0 in sup.buffered
+        assert sup.memory_recycles == 1
+        assert sup.local_strikes == {}
 
     def test_lingering_exit_is_reaped_without_a_strike(
         self, registry, monkeypatch
