@@ -1,9 +1,16 @@
-"""Tokenizer for the MiniJS language."""
+"""Tokenizer for the MiniJS language.
+
+One compiled master regex finds each token; ``m.lastgroup`` names its
+kind.  Spaces, tabs and carriage returns before a token ride along in
+the same match, so only newlines (which advance the line counter) and
+comments cost a loop turn of their own.  Strings without escapes take
+the regex's fast path; any other quote goes through
+:func:`_read_string`, which decodes escapes or raises.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List
 
 from repro.minijs.errors import JSLexError
@@ -18,89 +25,107 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "ident" | "keyword" | "number" | "string" | "punct" | "eof"
-    value: str
-    line: int
+    """One token: ``kind`` is "ident", "keyword", "number", "string",
+    "punct" or "eof"."""
+
+    __slots__ = ("kind", "value", "line")
+
+    def __init__(self, kind: str, value: str, line: int) -> None:
+        self.kind = kind
+        self.value = value
+        self.line = line
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return (self.kind, self.value, self.line) == (
+            other.kind, other.value, other.line
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value, self.line))
+
+    def __repr__(self) -> str:
+        return "Token(kind=%r, value=%r, line=%r)" % (
+            self.kind, self.value, self.line
+        )
 
 
-# Longest-match-first punctuation table.
-_PUNCTUATION = [
-    "===", "!==", ">>>", "&&", "||", "==", "!=", "<=", ">=", "++", "--",
-    "+=", "-=", "*=", "/=", "%=", "<<", ">>", "(", ")", "{", "}", "[",
-    "]", ";", ",", ".", "<", ">", "+", "-", "*", "/", "%", "=", "!",
-    "?", ":", "&", "|", "^", "~",
-]
-
-_NUMBER_RE = re.compile(r"\d+\.\d+|\.\d+|\d+|0[xX][0-9a-fA-F]+")
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_WS_RE = re.compile(r"[ \t\r]+")
+# Alternatives are tried in order, so each multi-character punctuator
+# precedes its prefixes (longest match first).  A number is a decimal
+# digit run (``\d`` is any Unicode decimal digit) or a dot and digits.
+# ``0x`` without a hex digit, an unterminated ``/*`` and any character
+# no other group takes are errors; a digit that is not decimal ("²")
+# is a malformed number, also right after a dot.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r]*(?:
+      (?P<punct>===|!==|>>>|&&|\|\||==|!=|<=|>=|\+\+|--|\+=|-=|\*=|/=|%=
+        |<<|>>|[(){}\[\];,<>+\-*%=!?:&|^~]|/(?![/*])|\.(?!\d))
+    | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<newline>\n)
+    | (?P<hex>0[xX][0-9a-fA-F]+)
+    | (?P<badhex>0[xX])
+    | (?P<number>\d+\.\d+|\.\d+|\d+)
+    | (?P<string>"[^"\\\n]*"|'[^'\\\n]*')
+    | (?P<quote>["'])
+    | (?P<comment>//[^\n]*|/\*[\s\S]*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<bad>[^ \t\r])
+    )""",
+    re.VERBOSE,
+)
 
 
 def tokenize(source: str) -> List[Token]:
     """Turn MiniJS source into tokens; raises JSLexError on bad input."""
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
+    match = _TOKEN_RE.match
+    keywords = KEYWORDS
     line = 1
-    length = len(source)
-    while pos < length:
-        ch = source[pos]
-        if ch == "\n":
+    pos = 0
+    while True:
+        m = match(source, pos)
+        if m is None:  # only spaces, tabs or carriage returns remain
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "punct":
+            append(Token("punct", m["punct"], line))
+        elif kind == "word":
+            word = m["word"]
+            append(Token(
+                "keyword" if word in keywords else "ident", word, line
+            ))
+        elif kind == "newline":
             line += 1
-            pos += 1
-            continue
-        ws = _WS_RE.match(source, pos)
-        if ws:
-            pos = ws.end()
-            continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = length if end == -1 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                raise JSLexError("unterminated block comment", line)
-            line += source.count("\n", pos, end)
-            pos = end + 2
-            continue
-        if ch in "\"'":
-            value, pos = _read_string(source, pos, line)
-            tokens.append(Token("string", value, line))
-            continue
-        if ch.isdigit() or (
-            ch == "." and pos + 1 < length and source[pos + 1].isdigit()
-        ):
-            if source.startswith(("0x", "0X"), pos):
-                match = re.compile(r"0[xX][0-9a-fA-F]+").match(source, pos)
-                if match is None:
-                    raise JSLexError("malformed hex literal", line)
-                tokens.append(Token("number", match.group(), line))
-                pos = match.end()
-                continue
-            match = _NUMBER_RE.match(source, pos)
-            if match is None:
-                raise JSLexError("malformed number", line)
-            tokens.append(Token("number", match.group(), line))
-            pos = match.end()
-            continue
-        ident = _IDENT_RE.match(source, pos)
-        if ident:
-            word = ident.group()
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line))
-            pos = ident.end()
-            continue
-        for punct in _PUNCTUATION:
-            if source.startswith(punct, pos):
-                tokens.append(Token("punct", punct, line))
-                pos += len(punct)
-                break
+        elif kind == "number" or kind == "hex":
+            append(Token("number", m[kind], line))
+        elif kind == "string":
+            append(Token("string", m["string"][1:-1], line))
+        elif kind == "quote":
+            value, pos = _read_string(source, m.start("quote"), line)
+            append(Token("string", value, line))
+        elif kind == "comment":
+            line += m["comment"].count("\n")
+        elif kind == "badhex":
+            raise JSLexError("malformed hex literal", line)
+        elif kind == "open_comment":
+            raise JSLexError("unterminated block comment", line)
         else:
+            ch = m["bad"]
+            if ch.isdigit():
+                raise JSLexError("malformed number", line)
             raise JSLexError("unexpected character %r" % ch, line)
     tokens.append(Token("eof", "", line))
     return tokens
+
+
+_ESCAPES = {
+    "n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'",
+    '"': '"', "0": "\0", "b": "\b", "f": "\f", "v": "\v",
+}
 
 
 def _read_string(source: str, pos: int, line: int) -> tuple:
@@ -117,11 +142,7 @@ def _read_string(source: str, pos: int, line: int) -> tuple:
             if pos + 1 >= len(source):
                 raise JSLexError("dangling escape at end of input", line)
             escape = source[pos + 1]
-            mapping = {
-                "n": "\n", "t": "\t", "r": "\r", "\\": "\\", "'": "'",
-                '"': '"', "0": "\0", "b": "\b", "f": "\f", "v": "\v",
-            }
-            parts.append(mapping.get(escape, escape))
+            parts.append(_ESCAPES.get(escape, escape))
             pos += 2
             continue
         parts.append(ch)

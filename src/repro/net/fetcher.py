@@ -210,7 +210,13 @@ class Fetcher:
         self.requests_failed += 1
         assert failure is not None
         failure.attempts = made
-        raise failure
+        try:
+            raise failure
+        finally:
+            # The traceback holds this frame; a local still naming the
+            # exception would make a cycle that pins every caller frame
+            # (down to the page's realm) until the collector runs.
+            failure = None
 
     def _respond_once(
         self, request: Request, meter

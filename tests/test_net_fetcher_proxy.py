@@ -1,5 +1,7 @@
 """Tests for the fetcher (failure semantics, request gates) and proxy."""
 
+import gc
+
 import pytest
 
 from repro.core.faults import FaultPlan, FaultSource, Outage
@@ -10,6 +12,7 @@ from repro.net.fetcher import (
     TransientNetworkError,
 )
 from repro.net.proxy import InjectingProxy
+from repro.net.resilience import ResilienceConfig
 from repro.net.resources import Request, ResourceKind, Response
 from repro.net.url import Url
 
@@ -81,6 +84,47 @@ class TestFetcher:
         fetcher.add_observer(lambda request: False)
         fetcher.clear_observers()
         assert fetcher.fetch(doc_request()).ok
+
+
+class TestFailureLeavesNoCycle:
+    """A failed fetch must not leave its exception in the raising frame.
+
+    Callers catch and drop subresource failures (blocked beacons, dead
+    hosts).  A frame whose local still names the exception it raised
+    forms a frame-traceback cycle that keeps every caller frame, down
+    to the page's realm, alive until the cycle collector runs.
+    """
+
+    @staticmethod
+    def cyclic_garbage_after_a_dropped_failure(fetcher, request):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            try:
+                fetcher.fetch(request)
+            except NetworkError:
+                pass
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_dead_host(self, source):
+        fetcher = Fetcher(source)
+        assert self.cyclic_garbage_after_a_dropped_failure(
+            fetcher, doc_request("https://dead.example/")
+        ) == 0
+        assert fetcher.requests_failed == 1
+
+    def test_transient_failure_after_two_attempts(self, source):
+        url = Url.parse("https://site.com/busy")
+        source.pages[str(url)] = Response(url=url, status=503)
+        fetcher = Fetcher(source, ResilienceConfig(request_attempts=2))
+        assert self.cyclic_garbage_after_a_dropped_failure(
+            fetcher, doc_request(str(url))
+        ) == 0
+        assert (fetcher.requests_failed, fetcher.requests_retried) == (1, 1)
 
 
 class TestRequestClassification:
