@@ -21,29 +21,24 @@ from __future__ import annotations
 
 import gc
 import os
-import pickle
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.blocking.extension import BrowsingCondition
 from repro.blocking.lists import builtin_filter_list, builtin_tracker_database
 from repro.browser.browser import Browser, BrowserConfig
 from repro.browser.session import TELEMETRY_COUNTERS, SiteMeasurement
-from repro.core import ipc, runmetrics
+from repro.core import runmetrics
 from repro.core.sandbox import (
-    MEMORY_PRESSURE_CAUSE,
     QUARANTINE_CAUSE,
     BudgetExceeded,
     MemoryGovernor,
     ResourceBudget,
     _default_rss_probe,
-    set_alloc_hook,
-    set_heartbeat,
     set_memory_governor,
 )
 from repro.core.storage import RunLock, Storage, StorageError
@@ -62,10 +57,9 @@ class RetryPolicy:
     """How hard to try a site before recording it as failed.
 
     Only *transient* failures (see ``NetworkError.transient``) are
-    retried by default: re-running a deterministic failure — NXDOMAIN,
-    a site whose only script has a fatal syntax error — reproduces it
+    retried: re-running a deterministic failure — NXDOMAIN, a site
+    whose only script has a fatal syntax error — reproduces it
     exactly, so retrying wastes crawl time without changing validity.
-    ``retry_deterministic`` flips that for debugging.
     """
 
     #: total attempts per (condition, domain), including the first
@@ -76,8 +70,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     #: ceiling on any single backoff sleep
     backoff_max: float = 60.0
-    #: also retry failures classified as deterministic
-    retry_deterministic: bool = False
 
     def delay(self, failures_so_far: int) -> float:
         """Backoff before the next attempt, after N failed ones."""
@@ -481,11 +473,11 @@ def _measure_site_attempts(
 ) -> SiteMeasurement:
     """Measure one site under the retry policy.
 
-    Re-runs a fully failed measurement when the failure was transient
-    (or always, with ``retry_deterministic``), sleeping the policy's
-    exponential backoff between attempts.  Because each attempt reseeds
-    from (seed, domain, round, condition), a retried site that finally
-    succeeds is bit-identical to one that never failed.  An exception
+    Re-runs a fully failed measurement when the failure was transient,
+    sleeping the policy's exponential backoff between attempts.
+    Because each attempt reseeds from (seed, domain, round, condition),
+    a retried site that finally succeeds is bit-identical to one that
+    never failed.  An exception
     escaping the crawl machinery is recorded as that site's failure
     cause — one hostile site must not abort a 10,000-site run.
     (``KeyboardInterrupt``/``SystemExit`` still propagate, so an
@@ -525,10 +517,7 @@ def _measure_site_attempts(
         measurement.attempts = attempt
         if measurement.measured:
             break
-        if attempt >= attempts:
-            break
-        if not (measurement.transient_failure
-                or policy.retry_deterministic):
+        if attempt >= attempts or not measurement.transient_failure:
             break
         delay = policy.delay(attempt)
         obs.event("site-retry", next_attempt=attempt + 1, delay=delay)
@@ -618,927 +607,24 @@ def resolve_start_method(requested: Optional[str] = None) -> str:
     return "fork" if "fork" in available else "spawn"
 
 
-def _prewarm_compile_cache(
-    web: SyntheticWeb, domains: Sequence[str], lower: bool = False
-) -> int:
-    """Compile the crawl's high-reuse script bodies up front.
-
-    Run in the parent before forking (children inherit the hot cache)
-    and again in each spawn-started worker (which inherits nothing).
-    Idempotent: warming an already-warm cache is a hash lookup per
-    body.  With ``lower=True`` (a compiled-engine crawl) each body is
-    also closure-lowered, so workers inherit the code cache too.
-    """
-    return shared_cache().prewarm(web.script_bodies(domains), lower=lower)
-
-
-# Worker-process state for the parallel crawl, rebuilt by the pool
-# initializer from explicitly passed arguments.  Under fork the args
-# are inherited by reference (nothing is pickled — webs can be
-# hundreds of MB); under spawn they are pickled once per worker, which
-# is what makes the fallback correct on fork-less platforms.
-_worker_state: Dict[str, object] = {}
-
-#: Per-worker baseline of the inherited (fork) compile-cache counters,
-#: so each worker reports only its own delta to the parent.
-_worker_baseline: Dict[str, Dict[str, float]] = {}
-
-
-def _parallel_worker_init(
-    web: SyntheticWeb,
-    registry: FeatureRegistry,
-    config: SurveyConfig,
-    condition: str,
-    domains: Sequence[str],
+def _mirror_process(
+    registry: "runmetrics.MetricsRegistry", rss_mb: float = 0.0
 ) -> None:
-    _worker_baseline["cache"] = shared_cache().counters()
-    _prewarm_compile_cache(web, domains, lower=config.engine == "compiled")
-    # Tracer goes in after the prewarm so warm-up parses never build
-    # spans; each worker records its own sites' traces and ships them
-    # with the measurement over the result pipe.
-    if config.trace:
-        obs.set_tracer(obs.Tracer())
-    if config.metrics:
-        # Worker registries carry only process-local (unstable) series
-        # — RSS, compile-cache mirrors; the stable per-site deltas ride
-        # the result payloads instead, so a killed worker's registry
-        # can vanish without perturbing the deterministic totals.
-        runmetrics.set_registry(runmetrics.MetricsRegistry())
-    _worker_state["crawler"] = _build_crawler(
-        web, registry, config, condition
-    )
-    _worker_state["registry"] = registry
-    _worker_state["config"] = config
-    _worker_state["condition"] = condition
+    """Refresh this process's unstable mirrors in ``registry``.
 
-
-def _parallel_measure(
-    domain: str,
-    lease_epoch: Optional[int] = None,
-) -> Tuple[SiteMeasurement, Optional[Dict[str, object]],
-           Optional[Dict[str, int]], int, Dict[str, float]]:
-    """Measure one site; piggyback this worker's cumulative stats.
-
-    The parent keeps the per-pid elementwise maximum (the counters are
-    monotonic), so whichever result arrives last per worker carries
-    its totals.
+    The compile-cache cumulative counters (labeled by pid, max-merged)
+    and the RSS high-water gauge: ``rss_mb`` when the caller already
+    probed it (a worker's governor), a direct probe otherwise.
     """
-    measurement, trace, wire = _measure_site(
-        _worker_state["crawler"],
-        _worker_state["registry"],
-        _worker_state["config"],
-        _worker_state["condition"],
-        domain,
-        lease_epoch=lease_epoch,
-    )
-    cache_delta = CompileCache.counter_delta(
-        shared_cache().counters(), _worker_baseline["cache"]
-    )
-    return measurement, trace, wire, os.getpid(), cache_delta
-
-
-def _quarantined_measurement(
-    domain: str, condition: str, threshold: int
-) -> SiteMeasurement:
-    """The deterministic record a poison site gets instead of a crawl.
-
-    Depends only on the strike threshold — never on timing — so a
-    killed-and-resumed run synthesizes byte-identical records.
-    """
-    measurement = SiteMeasurement(domain=domain, condition=condition)
-    measurement.failure_reason = (
-        "%s: site killed or hung %d crawl workers"
-        % (QUARANTINE_CAUSE, threshold)
-    )
-    measurement.transient_failure = False
-    measurement.budget_cause = QUARANTINE_CAUSE
-    measurement.attempts = threshold
-    return measurement
-
-
-def _quarantined_trace(
-    domain: str, condition: str, threshold: int
-) -> Dict[str, object]:
-    """The trace a quarantined site gets: a synthetic site span.
-
-    Built from the same inputs as :func:`_quarantined_measurement`
-    (never from timing), so resumed runs reproduce it byte for byte.
-    """
-    return {
-        "name": "site",
-        "attrs": {
-            "domain": domain,
-            "condition": condition,
-            "attempts": threshold,
-            "measured": False,
-        },
-        "real_ms": 0.0,
-        "children": [{
-            "name": "quarantined",
-            "attrs": {"strikes": threshold},
-            "real_ms": 0.0,
-        }],
-    }
-
-
-def _send_frame(conn, obj: object, kind: int = ipc.KIND_RESULT) -> None:
-    """Pickle and frame one message onto a result pipe."""
-    conn.send_bytes(ipc.encode_frame(pickle.dumps(obj), kind=kind))
-
-
-def _worker_metrics_snapshot(governor=None):
-    """This worker's metrics snapshot for the supervisor, or None.
-
-    Freshens the process-local mirrors first: the compile-cache
-    cumulative counters (labeled by pid, max-merged) and the RSS
-    high-water gauge — the governor's last probe when one is polling,
-    a direct probe otherwise.
-    """
-    registry = runmetrics.current_registry()
-    if registry is None:
-        return None
     proc = str(os.getpid())
     counters = shared_cache().counters()
     registry.counter_floor("compile_cache_hits_total",
                            counters.get("hits", 0), proc=proc)
     registry.counter_floor("compile_cache_misses_total",
                            counters.get("misses", 0), proc=proc)
-    rss = governor.rss_mb if governor is not None else 0.0
-    if not rss:
-        rss = _default_rss_probe()
+    rss = rss_mb or _default_rss_probe()
     if rss:
         registry.set_gauge("worker_rss_mb", round(rss, 1), proc=proc)
-    return registry.snapshot()
-
-
-def _watchdog_worker_main(
-    slot: int,
-    heartbeats,
-    task_conn,
-    result_conn,
-    web: SyntheticWeb,
-    registry: FeatureRegistry,
-    config: SurveyConfig,
-    condition: str,
-    domains: Sequence[str],
-) -> None:
-    """A supervised crawl worker: register heartbeat, init, measure.
-
-    Tasks arrive as ``(index, domain, lease_epoch)`` triples over a
-    dedicated pipe; ``None`` means shut down.  Results go back over
-    the slot's own result pipe as checksummed :mod:`repro.core.ipc`
-    frames: a ``KIND_RESULT`` frame carrying the pickled ``(slot,
-    index, domain, lease_epoch, payload, exiting)`` (payload matching
-    :func:`_parallel_measure`'s return value; ``exiting`` is true when
-    the worker leaves after this result), or a ``KIND_FAULT``
-    frame carrying a typed fault report when the worker must recycle
-    itself (currently: ``MemoryError`` escaping a measurement).  The
-    framing means a worker dying mid-write tears at a frame boundary
-    the supervisor's decoder detects and resynchronizes past — raw
-    pickles on the pipe could poison the parent.
-
-    Plain one-writer pipes, not ``multiprocessing.Queue``: a queue
-    shares one write-lock semaphore among every producer, and a worker
-    dying (``os._exit`` on a crasher page, or the watchdog's SIGKILL)
-    between writing its bytes and releasing that lock strands the
-    semaphore — every other worker's feeder thread then blocks forever
-    and their results silently never arrive.  With a pipe per slot a
-    dying writer can only tear its *own* channel, which the parent
-    reads as EOF and handles as the worker death it is.
-    """
-
-    # Workers must outlive a Ctrl-C/SIGTERM aimed at the crawl: both
-    # usually hit the whole process group, and a worker dying mid-visit
-    # would turn a graceful drain into watchdog strikes.  The
-    # supervisor owns worker lifetime — it drains in-flight sites, then
-    # shuts workers down over their task pipes (or SIGKILLs them).
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass  # non-main thread or exotic platform: best-effort
-
-    def beat() -> None:
-        heartbeats[slot] = time.monotonic()
-
-    set_heartbeat(beat)
-    beat()
-    # Deterministic process-fault injection (``repro chaos --arms
-    # proc``): the :class:`repro.core.faults.FaultPlan` rides on the
-    # wrapped web source and arms per-(domain, epoch) faults inside
-    # this process.
-    plan = getattr(web, "fault_plan", None)
-    if plan is not None:
-        set_alloc_hook(plan.on_allocation)
-    governor: Optional[MemoryGovernor] = None
-    if config.max_worker_rss_mb is not None:
-        governor = MemoryGovernor(config.max_worker_rss_mb)
-        set_memory_governor(governor)
-    _parallel_worker_init(web, registry, config, condition, domains)
-    # Spawned workers built their set-up heap just now; forked ones
-    # add their crawler to the parent's.  The worker never unfreezes:
-    # the heap lives until it exits.
-    gc.freeze()
-    while True:
-        # Poll with a short timeout and beat on every pass, so an
-        # *idle* worker (result sent, next task not yet assigned)
-        # keeps a fresh heartbeat.  A stale heartbeat then means
-        # exactly one thing — stuck inside a measurement — which is
-        # what the watchdog punishes.
-        if not task_conn.poll(0.2):
-            beat()
-            continue
-        try:
-            task = task_conn.recv()
-        except (EOFError, OSError):
-            break  # parent closed our pipe: we are being replaced
-        if task is None:
-            break
-        index, domain, lease_epoch = task
-        beat()
-        if plan is not None:
-            plan.begin_task(domain, lease_epoch)
-        try:
-            payload = _parallel_measure(domain, lease_epoch=lease_epoch)
-        except MemoryError as error:
-            # The allocator (or an injected fault at an allocation
-            # boundary) failed this process: nothing it computes from
-            # here on can be trusted.  Report the typed fault — the
-            # tiny frame fits the pipe buffer, so it lands even though
-            # we exit immediately after — and recycle; the supervisor
-            # strikes the site and re-leases it to a fresh worker.
-            try:
-                _send_frame(result_conn, {
-                    "slot": slot, "index": index, "domain": domain,
-                    "lease_epoch": lease_epoch, "cause": "memory-error",
-                    "detail": str(error) or "MemoryError",
-                }, kind=ipc.KIND_FAULT)
-            except (BrokenPipeError, OSError):
-                pass
-            break
-        if config.metrics:
-            # Ship the worker's registry (unstable series only: cache
-            # mirrors, RSS) ahead of the result.  Cumulative, so a lost
-            # frame just means the supervisor keeps a slightly staler
-            # view — never wrong totals.
-            snapshot = _worker_metrics_snapshot(governor)
-            if snapshot is not None:
-                try:
-                    _send_frame(
-                        result_conn,
-                        {"pid": os.getpid(), "metrics": snapshot},
-                        kind=ipc.KIND_METRICS,
-                    )
-                except (BrokenPipeError, OSError):
-                    pass
-        if plan is not None:
-            for noise in plan.pipe_noise(domain, lease_epoch):
-                try:
-                    result_conn.send_bytes(noise)
-                except (BrokenPipeError, OSError):
-                    pass
-        # A latched governor means this process leaves: ``ru_maxrss``
-        # is a high-water mark it can never shed.  The decision rides
-        # on the result, so the supervisor dispatches nothing more to
-        # this slot; the governor may have latched during the site's
-        # last page, leaving the measurement itself without a cause.
-        exiting = governor is not None and governor.pressured
-        try:
-            _send_frame(
-                result_conn,
-                (slot, index, domain, lease_epoch, payload, exiting),
-            )
-        except (BrokenPipeError, OSError):
-            break  # parent closed our pipe: we are being replaced
-        beat()
-        if exiting:
-            break
-
-
-class _CrawlSupervisor:
-    """A watchdog-supervised worker fleet for one condition's crawl.
-
-    Replaces the plain multiprocessing pool: each worker is an owned
-    ``Process`` with its *own* task and result pipes, so the parent
-    always knows exactly which site every worker holds — there is no
-    shared queue whose in-flight items (or write-lock semaphore) a
-    dead worker could strand.  Workers
-    stamp a shared heartbeat array from the fetcher and page-boundary
-    hooks; one whose heartbeat goes stale past ``hang_timeout`` while
-    holding a site (or that dies outright, e.g. a crasher page taking
-    the process down) is SIGKILLed, the site gets a strike, and a
-    fresh worker takes the slot.  A site reaching
-    ``quarantine_threshold`` strikes is quarantined: it gets a
-    deterministic failure record and is never dispatched again —
-    strikes persist in the checkpoint, so a resumed run honors them.
-
-    Results are buffered and recorded strictly in submission order, so
-    checkpoint shards are appended exactly as a serial crawl would
-    append them.
-    """
-
-    _POLL_SECONDS = 0.05
-
-    def __init__(
-        self,
-        web: SyntheticWeb,
-        registry: FeatureRegistry,
-        config: SurveyConfig,
-        condition: str,
-        pending: List[str],
-        checkpoint=None,
-        drain: Optional[_DrainGuard] = None,
-        pump: Optional["_MetricsPump"] = None,
-    ) -> None:
-        import multiprocessing
-
-        self.web = web
-        self.registry = registry
-        self.config = config
-        self.condition = condition
-        self.pending = list(pending)
-        self.checkpoint = checkpoint
-        self.drain_guard = drain
-        self.metrics_pump = pump
-        self.context = multiprocessing.get_context(
-            resolve_start_method(config.start_method)
-        )
-        self.n_workers = max(1, min(config.workers, len(self.pending)))
-        self.heartbeats = self.context.Array("d", self.n_workers)
-        self.workers: List = [None] * self.n_workers
-        #: parent-side send end of each slot's task pipe
-        self.task_conns: List = [None] * self.n_workers
-        #: parent-side receive end of each slot's result pipe
-        self.result_conns: List = [None] * self.n_workers
-        #: per-slot frame decoder for the result pipe (reset on spawn:
-        #: a fresh worker must not inherit its predecessor's torn tail)
-        self.decoders: List[Optional[ipc.FrameDecoder]] = (
-            [None] * self.n_workers
-        )
-        #: slot -> (index, domain, lease_epoch, assigned_at) while a
-        #: site is in flight
-        self.assigned: Dict[int, Tuple[int, str, int, float]] = {}
-        #: strike fallback when no checkpoint persists them
-        self.local_strikes: Dict[str, int] = {}
-        #: lease-epoch fallback when no checkpoint persists them
-        self.local_leases: Dict[str, int] = {}
-        self.worker_cache: Dict[int, Dict[str, float]] = {}
-        #: indices already finished — dedupes the race where a struck
-        #: worker's result was in the pipe when it was killed
-        self.finished: Set[int] = set()
-        #: index -> (measurement, trace-or-None, lease_epoch-or-None,
-        #: wire-metrics-delta-or-None), flushed in order
-        self.buffered: Dict[
-            int,
-            Tuple[SiteMeasurement, Optional[Dict[str, object]],
-                  Optional[int], Optional[Dict[str, int]]],
-        ] = {}
-        self.next_flush = 0
-        #: sites a typed worker fault handed back for re-dispatch
-        self.requeue: deque = deque()
-        #: slots whose worker announced its own exit (a typed fault, or
-        #: a result frame declaring it): ``is_alive()`` stays true until
-        #: the process is gone, but no site may be dispatched to it
-        self.exiting: Set[int] = set()
-        #: per-slot corruption slugs awaiting the slot's next good
-        #: trace, into which they are folded as unstable frame events
-        self.frame_notes: Dict[int, List[str]] = {}
-        #: workers killed by the watchdog (observability + tests)
-        self.kills = 0
-        #: frame-stream corruptions absorbed (garbage, torn writes...)
-        self.frame_errors = 0
-        #: results rejected for carrying a superseded lease epoch
-        self.stale_results = 0
-        #: typed KIND_FAULT reports received from workers
-        self.worker_faults = 0
-        #: leases revoked past ``lease_deadline`` (stragglers re-leased)
-        self.lease_releases = 0
-        #: injected or real spawn failures retried through
-        self.spawn_retries = 0
-        #: workers that declared their exit for memory pressure
-        self.memory_recycles = 0
-
-    # -- strikes ---------------------------------------------------------
-
-    def _strike(self, domain: str) -> int:
-        if self.checkpoint is not None:
-            return self.checkpoint.add_strike(domain)
-        count = self.local_strikes.get(domain, 0) + 1
-        self.local_strikes[domain] = count
-        return count
-
-    def _strike_count(self, domain: str) -> int:
-        if self.checkpoint is not None:
-            return self.checkpoint.strike_count(domain)
-        return self.local_strikes.get(domain, 0)
-
-    # -- fenced leases ---------------------------------------------------
-
-    def _issue_lease(self, domain: str) -> int:
-        """The next lease epoch for a dispatch of ``domain``."""
-        if self.checkpoint is not None:
-            return self.checkpoint.issue_lease(self.condition, domain)
-        epoch = self.local_leases.get(domain, 0) + 1
-        self.local_leases[domain] = epoch
-        return epoch
-
-    def _current_lease(self, domain: str) -> int:
-        if self.checkpoint is not None:
-            return self.checkpoint.lease_epoch(self.condition, domain)
-        return self.local_leases.get(domain, 0)
-
-    # -- worker lifecycle ------------------------------------------------
-
-    _SPAWN_ATTEMPTS = 5
-
-    def _spawn(self, slot: int) -> None:
-        """Start a worker into ``slot``, retrying spawn failures.
-
-        ``fork``/``spawn`` can genuinely fail under memory pressure or
-        pid exhaustion (EAGAIN/ENOMEM); one failed attempt must not
-        abort a crawl the next attempt would carry.  A bounded retry
-        also absorbs a fault plan's injected fork failures.
-        Exhausting the attempts re-raises the last error.
-        """
-        plan = getattr(self.web, "fault_plan", None)
-        last_error: Optional[OSError] = None
-        for _ in range(self._SPAWN_ATTEMPTS):
-            try:
-                if plan is not None:
-                    plan.check_spawn()
-                task_recv, task_send = self.context.Pipe(duplex=False)
-                result_recv, result_send = self.context.Pipe(
-                    duplex=False
-                )
-                process = self.context.Process(
-                    target=_watchdog_worker_main,
-                    args=(
-                        slot, self.heartbeats, task_recv, result_send,
-                        self.web, self.registry, self.config,
-                        self.condition, self.pending,
-                    ),
-                    daemon=True,
-                )
-                self.heartbeats[slot] = time.monotonic()
-                try:
-                    process.start()
-                except OSError:
-                    for conn in (task_recv, task_send,
-                                 result_recv, result_send):
-                        conn.close()
-                    raise
-            except OSError as error:
-                self.spawn_retries += 1
-                runmetrics.inc("supervisor_spawn_retries_total")
-                last_error = error
-                continue
-            # Close the child's ends in the parent right away: later
-            # forks must not inherit them, or a sibling would hold this
-            # slot's write end open and mask the EOF that signals
-            # worker death.
-            task_recv.close()
-            result_send.close()
-            self.task_conns[slot] = task_send
-            self.result_conns[slot] = result_recv
-            self.workers[slot] = process
-            self.decoders[slot] = ipc.FrameDecoder(message_aligned=True)
-            return
-        assert last_error is not None
-        raise last_error
-
-    def _kill(self, slot: int) -> None:
-        process = self.workers[slot]
-        if process is not None:
-            if process.is_alive():
-                process.kill()  # SIGKILL: a hung worker can't be asked
-            process.join()
-        self.workers[slot] = None
-        for conns in (self.task_conns, self.result_conns):
-            if conns[slot] is not None:
-                conns[slot].close()
-                conns[slot] = None
-        self.decoders[slot] = None
-        self.frame_notes.pop(slot, None)
-        self.exiting.discard(slot)
-
-    # -- main loop -------------------------------------------------------
-
-    def run(
-        self,
-        record: Callable[..., None],
-        stats: "_CrawlStats",
-    ) -> None:
-        todo = deque(enumerate(self.pending))
-        pump = self.metrics_pump
-        if pump is not None:
-            pump.hooks.append(self._metrics_gauges)
-        try:
-            for slot in range(self.n_workers):
-                self._spawn(slot)
-            while self.next_flush < len(self.pending):
-                if (self.drain_guard is not None
-                        and self.drain_guard.requested):
-                    # Graceful drain: dispatch nothing more, collect
-                    # what is in flight, flush the contiguous prefix
-                    # to the checkpoint, and hand control back.
-                    self._drain_inflight()
-                    self._flush(record)
-                    break
-                self._dispatch(todo)
-                self._drain(block=True)
-                self._watchdog(todo)
-                self._flush(record)
-                if pump is not None:
-                    pump.maybe()
-        finally:
-            self._shutdown()
-            if pump is not None and self._metrics_gauges in pump.hooks:
-                pump.hooks.remove(self._metrics_gauges)
-        for cache in self.worker_cache.values():
-            stats.add_cache(cache)
-        stats.add_proc({
-            "watchdog_kills": self.kills,
-            "frame_errors": self.frame_errors,
-            "stale_results": self.stale_results,
-            "worker_faults": self.worker_faults,
-            "lease_releases": self.lease_releases,
-            "spawn_retries": self.spawn_retries,
-            "memory_recycles": self.memory_recycles,
-        })
-
-    def _dispatch(self, todo) -> None:
-        # Sites handed back by typed worker faults go to the front:
-        # they were dispatched before everything still in ``todo``.
-        while self.requeue:
-            todo.appendleft(self.requeue.pop())
-        for slot in range(self.n_workers):
-            if not todo:
-                return
-            process = self.workers[slot]
-            if process is None or not process.is_alive():
-                continue
-            if slot in self.assigned or slot in self.exiting:
-                continue
-            index, domain = todo.popleft()
-            if index in self.finished:
-                continue
-            if (self._strike_count(domain)
-                    >= self.config.quarantine_threshold):
-                # Struck out since it was (re)queued.
-                self.finished.add(index)
-                self.buffered[index] = self._quarantine(domain)
-                continue
-            epoch = self._issue_lease(domain)
-            try:
-                self.task_conns[slot].send((index, domain, epoch))
-            except (BrokenPipeError, OSError):
-                # Worker died between the liveness check and the send;
-                # requeue and let the watchdog replace the worker.
-                # (The issued epoch is skipped — epochs are monotonic,
-                # not dense, so a gap fences nothing incorrectly.)
-                todo.appendleft((index, domain))
-                continue
-            self.assigned[slot] = (
-                index, domain, epoch, time.monotonic()
-            )
-
-    def _drain_inflight(self) -> None:
-        """Let assigned sites finish (bounded), dropping the rest.
-
-        Workers ignore the drain signal, so every in-flight visit keeps
-        running against its own resource budgets; the wait here is
-        bounded by ``hang_timeout`` (the point past which the watchdog
-        would have struck the site anyway).  Sites still unfinished at
-        the deadline — or held by a worker that died — are simply
-        dropped: they were never checkpointed, so resume re-measures
-        them bit-identically.  No strikes are charged; a drain is not
-        the site's fault.
-        """
-        timeout = self.config.hang_timeout
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else 30.0
-        )
-        while self.assigned and time.monotonic() < deadline:
-            self._drain(block=True)
-            for slot in list(self.assigned):
-                process = self.workers[slot]
-                if process is None or not process.is_alive():
-                    self._drain_slot(slot)  # last chance for a result
-                    self.assigned.pop(slot, None)
-        self.assigned.clear()
-
-    def _drain(self, block: bool = False) -> None:
-        from multiprocessing.connection import wait as connection_wait
-
-        conns = [c for c in self.result_conns if c is not None]
-        if not conns:
-            return
-        timeout = self._POLL_SECONDS if block else 0
-        for conn in connection_wait(conns, timeout=timeout):
-            self._read(self.result_conns.index(conn))
-
-    def _drain_slot(self, slot: int) -> None:
-        """Read everything already in one slot's result pipe.
-
-        A worker sends its metrics frame, and any injected pipe noise,
-        ahead of its result, so a single read can leave a dead worker's
-        result unread and strike a site that was in fact measured.
-        """
-        conn = self.result_conns[slot]
-        while conn is not None and conn.poll():
-            self._read(slot)
-            conn = self.result_conns[slot]
-
-    def _read(self, slot: int) -> None:
-        """Receive one message from ``slot``'s result pipe."""
-        conn = self.result_conns[slot]
-        decoder = self.decoders[slot]
-        try:
-            data = conn.recv_bytes()
-        except (EOFError, OSError):
-            # The worker died (possibly mid-send, tearing its own
-            # pipe — never anyone else's).  Flush the decoder — whole
-            # frames already buffered must not die with the worker —
-            # then stop polling the channel; the watchdog handles the
-            # corpse.
-            conn.close()
-            self.result_conns[slot] = None
-            if decoder is not None:
-                frames = decoder.finish()
-                self._note_frame_errors(slot, decoder)
-                for frame in frames:
-                    self._handle_frame(slot, frame)
-            return
-        if decoder is None:
-            return
-        runmetrics.observe("ipc_frame_bytes", float(len(data)))
-        frames = decoder.feed(data)
-        # Corruption notes first: noise preceding a good result on the
-        # same pipe belongs to that result's trace.
-        self._note_frame_errors(slot, decoder)
-        for frame in frames:
-            self._handle_frame(slot, frame)
-
-    def _note_frame_errors(self, slot: int, decoder) -> None:
-        for error in decoder.take_errors():
-            self.frame_errors += 1
-            runmetrics.inc("supervisor_frame_corruptions_total",
-                           reason=error.reason)
-            self.frame_notes.setdefault(slot, []).append(error.reason)
-
-    def _handle_frame(self, slot: int, frame) -> None:
-        try:
-            obj = pickle.loads(frame.payload)
-        except Exception:
-            # CRC-valid but unpicklable: a sender bug rather than wire
-            # damage, absorbed the same way — the stream stays usable.
-            self.frame_errors += 1
-            self.frame_notes.setdefault(slot, []).append("bad-payload")
-            return
-        if frame.kind == ipc.KIND_FAULT:
-            self._handle_fault(slot, obj)
-        elif frame.kind == ipc.KIND_RESULT:
-            self._handle_result(slot, obj)
-        elif frame.kind == ipc.KIND_METRICS:
-            self._handle_metrics(obj)
-        # Unknown kinds are ignored: a newer worker may speak frame
-        # kinds this supervisor predates.
-
-    def _handle_metrics(self, report) -> None:
-        """Keep the latest registry snapshot shipped by one worker.
-
-        Worker snapshots are cumulative, so only the most recent per
-        pid matters, and it is folded into the durable view at
-        snapshot-build time — merging every frame as it arrives would
-        double-count.
-        """
-        pump = self.metrics_pump
-        if (pump is None or not isinstance(report, dict)
-                or not isinstance(report.get("metrics"), dict)):
-            return
-        pump.worker_metrics[report.get("pid", 0)] = report["metrics"]
-
-    def _metrics_gauges(self) -> None:
-        """Refresh supervisor-side gauges just before a snapshot."""
-        now = time.monotonic()
-        for slot in range(self.n_workers):
-            age = max(0.0, now - self.heartbeats[slot])
-            runmetrics.set_gauge("worker_heartbeat_age_seconds",
-                                 round(age, 3), slot=str(slot))
-        runmetrics.set_gauge("crawl_inflight_sites",
-                             float(len(self.assigned)))
-
-    def _handle_result(self, slot: int, item) -> None:
-        _, index, domain, epoch, payload, exiting = item
-        self.assigned.pop(slot, None)
-        measurement, trace, wire, pid, cache = payload
-        if exiting:
-            # The worker shipped this and is recycling itself: its
-            # governor latched, whether or not the measurement shows it.
-            self.exiting.add(slot)
-            self.memory_recycles += 1
-            runmetrics.inc("supervisor_memory_recycles_total")
-        if epoch is not None and epoch != self._current_lease(domain):
-            # Fencing: the lease moved on (revoked past its deadline,
-            # or struck and re-issued) — this is a replaced worker's
-            # late result.  Accepting it could double-count the site
-            # or overwrite its successor's record.
-            self.stale_results += 1
-            runmetrics.inc("supervisor_stale_results_total")
-            return
-        if index in self.finished:
-            return  # a requeued duplicate landed first
-        self.finished.add(index)
-        if trace is not None:
-            self._annotate_frame_notes(slot, trace)
-        else:
-            self.frame_notes.pop(slot, None)
-        if measurement.budget_cause == MEMORY_PRESSURE_CAUSE:
-            # The worker measured what it could and shipped it.  The
-            # measurement stands (it is honest, if partial); the *site*
-            # earns a strike so a repeat offender is eventually
-            # quarantined.
-            self._strike(domain)
-        self.buffered[index] = (measurement, trace, epoch, wire)
-        self.worker_cache[pid] = _elementwise_max(
-            self.worker_cache.get(pid, {}), cache
-        )
-
-    def _annotate_frame_notes(self, slot: int, trace) -> None:
-        """Fold pending corruption slugs into a trace as frame events.
-
-        The supervisor has no span of its own to attach events to, so
-        corruption observed on a slot's pipe is recorded as unstable
-        ``frame`` children of the next good site trace off that slot —
-        profiling-visible, excluded from the structural digest (what
-        the pipe suffered is not part of what the site did).
-        """
-        notes = self.frame_notes.pop(slot, None)
-        if not notes or not isinstance(trace, dict):
-            return
-        children = trace.setdefault("children", [])
-        for reason in notes:
-            children.append({
-                "name": "frame",
-                "attrs": {"reason": reason},
-                "real_ms": 0.0,
-                "unstable": True,
-            })
-
-    def _handle_fault(self, slot: int, report) -> None:
-        """A worker announced a typed fault and is recycling itself.
-
-        The site is struck and handed back for re-dispatch under a
-        fresh lease (or quarantined at the strike threshold); the
-        worker's corpse is the watchdog's to replace.
-        """
-        self.worker_faults += 1
-        runmetrics.inc("supervisor_worker_faults_total")
-        self.exiting.add(slot)
-        assignment = self.assigned.pop(slot, None)
-        if assignment is None:
-            return
-        index, domain, _epoch, _at = assignment
-        if index in self.finished:
-            return
-        strikes = self._strike(domain)
-        if strikes >= self.config.quarantine_threshold:
-            self.finished.add(index)
-            self.buffered[index] = self._quarantine(domain)
-        else:
-            self.requeue.append((index, domain))
-
-    def _watchdog(self, todo) -> None:
-        timeout = self.config.hang_timeout
-        lease_deadline = self.config.lease_deadline
-        now = time.monotonic()
-        for slot in range(self.n_workers):
-            process = self.workers[slot]
-            alive = process is not None and process.is_alive()
-            assignment = self.assigned.get(slot)
-            if assignment is None:
-                if (alive and slot in self.exiting and timeout is not None
-                        and now - self.heartbeats[slot] > timeout):
-                    # Announced its exit but never went: reap it.
-                    self._kill(slot)
-                    alive = False
-                if not alive and (todo or self.requeue):
-                    # Died idle (e.g. crashed in init, or recycled
-                    # after a fault/pressure exit): replace it.
-                    self._kill(slot)
-                    self._spawn(slot)
-                continue
-            index, domain, _epoch, assigned_at = assignment
-            last_beat = max(assigned_at, self.heartbeats[slot])
-            hung = (
-                alive and timeout is not None
-                and now - last_beat > timeout
-            )
-            # A lease deadline bounds *total* time on a site: a worker
-            # can keep a fresh heartbeat forever while grinding, but
-            # past the deadline the site is a straggler — revoke the
-            # lease and re-issue it elsewhere.  The revoked worker is
-            # killed, not trusted to stop: if its result were already
-            # in the pipe, the stale epoch fences it off anyway.
-            overdue = (
-                alive and lease_deadline is not None
-                and now - assigned_at > lease_deadline
-            )
-            if alive and not hung and not overdue:
-                continue
-            # The worker died, hung or overstayed its lease on this
-            # site.  Last chance for an in-flight result to disqualify
-            # the strike:
-            self._drain_slot(slot)
-            if slot not in self.assigned:
-                continue  # its result landed after all
-            del self.assigned[slot]
-            self._kill(slot)
-            self.kills += 1
-            runmetrics.inc("supervisor_watchdog_kills_total")
-            if overdue and not hung:
-                self.lease_releases += 1
-                runmetrics.inc("supervisor_lease_revocations_total")
-            strikes = self._strike(domain)
-            if index not in self.finished:
-                if strikes >= self.config.quarantine_threshold:
-                    self.finished.add(index)
-                    self.buffered[index] = self._quarantine(domain)
-                else:
-                    todo.append((index, domain))
-            self._spawn(slot)
-
-    def _quarantine(
-        self, domain: str
-    ) -> Tuple[SiteMeasurement, Optional[Dict[str, object]],
-               Optional[int], Optional[Dict[str, int]]]:
-        threshold = self.config.quarantine_threshold
-        measurement = _quarantined_measurement(
-            domain, self.condition, threshold
-        )
-        trace = (
-            _quarantined_trace(domain, self.condition, threshold)
-            if self.config.trace else None
-        )
-        # A fresh epoch fences off any late result from the strikes
-        # that led here, and gives fsck the invariant it checks: the
-        # surviving record carries the site's highest epoch.  No wire
-        # delta: a synthesized measurement did no metered work.
-        return measurement, trace, self._issue_lease(domain), None
-
-    def _flush(self, record) -> None:
-        while self.next_flush in self.buffered:
-            measurement, trace, epoch, wire = self.buffered.pop(
-                self.next_flush
-            )
-            record(measurement, trace, epoch, wire)
-            self.next_flush += 1
-
-    def _shutdown(self) -> None:
-        for slot in range(self.n_workers):
-            process = self.workers[slot]
-            tasks = self.task_conns[slot]
-            if (process is not None and process.is_alive()
-                    and tasks is not None):
-                try:
-                    tasks.send(None)
-                except (BrokenPipeError, OSError, ValueError):
-                    pass
-        deadline = time.monotonic() + 5.0
-        for slot in range(self.n_workers):
-            process = self.workers[slot]
-            if process is None:
-                continue
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            self._kill(slot)
-
-
-def _crawl_condition_parallel(
-    web: SyntheticWeb,
-    registry: FeatureRegistry,
-    config: SurveyConfig,
-    condition: str,
-    pending: List[str],
-    record: Callable[..., None],
-    stats: "_CrawlStats",
-    checkpoint=None,
-    drain: Optional[_DrainGuard] = None,
-    pump=None,
-) -> None:
-    supervisor = _CrawlSupervisor(
-        web, registry, config, condition, pending, checkpoint,
-        drain=drain, pump=pump,
-    )
-    supervisor.run(record, stats)
-
-
-def _elementwise_max(
-    a: Dict[str, float], b: Dict[str, float]
-) -> Dict[str, float]:
-    out = dict(a)
-    for key, value in b.items():
-        out[key] = max(out.get(key, 0.0), value)
-    return out
 
 
 class _CrawlStats:
@@ -1552,10 +638,6 @@ class _CrawlStats:
     def add_cache(self, delta: Dict[str, float]) -> None:
         for key, value in delta.items():
             self.cache[key] = self.cache.get(key, 0.0) + value
-
-    def add_proc(self, delta: Dict[str, int]) -> None:
-        for key, value in delta.items():
-            self.proc[key] = self.proc.get(key, 0) + value
 
     def proc_faults(self) -> Dict[str, int]:
         """The nonzero process-fault counters (zero is not news)."""
@@ -1601,27 +683,13 @@ class _MetricsPump:
 
     def merged(self) -> Dict[str, object]:
         """The run-wide snapshot: parent registry + worker views."""
-        self._parent_mirrors()
+        _mirror_process(self.registry)
         for hook in list(self.hooks):
             hook()
         snapshot = self.registry.snapshot()
         for worker in self.worker_metrics.values():
             snapshot = runmetrics.merge_snapshots(snapshot, worker)
         return snapshot
-
-    def _parent_mirrors(self) -> None:
-        """Refresh the parent process's own unstable mirrors."""
-        proc = str(os.getpid())
-        counters = shared_cache().counters()
-        self.registry.counter_floor("compile_cache_hits_total",
-                                    counters.get("hits", 0), proc=proc)
-        self.registry.counter_floor("compile_cache_misses_total",
-                                    counters.get("misses", 0),
-                                    proc=proc)
-        rss = _default_rss_probe()
-        if rss:
-            self.registry.set_gauge("worker_rss_mb", round(rss, 1),
-                                    proc=proc)
 
     def maybe(self, force: bool = False, kind: str = "snapshot") -> None:
         """Append a snapshot if the cadence (or ``force``) says so."""
@@ -1642,101 +710,6 @@ class _MetricsPump:
     def final(self) -> None:
         """The run's last snapshot, forced whatever the cadence."""
         self.maybe(force=True, kind="final")
-
-
-def _crawl_condition(
-    web: SyntheticWeb,
-    registry: FeatureRegistry,
-    config: SurveyConfig,
-    condition: str,
-    domains: List[str],
-    progress: Optional[ProgressCallback],
-    checkpoint=None,
-    stats: Optional[_CrawlStats] = None,
-    drain: Optional[_DrainGuard] = None,
-    pump: Optional[_MetricsPump] = None,
-) -> Dict[str, SiteMeasurement]:
-    """Measure one condition, streaming each site to the checkpoint."""
-    done = checkpoint.done(condition) if checkpoint is not None else {}
-    pending = [d for d in domains if d not in done]
-    by_domain: Dict[str, SiteMeasurement] = dict(done)
-    if done and progress is not None:
-        progress(condition, len(done), len(domains))
-    completed = len(done)
-
-    def record(
-        measurement: SiteMeasurement,
-        trace: Optional[Dict[str, object]] = None,
-        lease_epoch: Optional[int] = None,
-        site_metrics: Optional[Dict[str, int]] = None,
-    ) -> None:
-        nonlocal completed
-        by_domain[measurement.domain] = measurement
-        if checkpoint is not None:
-            # Trace first: resume skips sites whose *measurement* is
-            # on disk, so a crash between the two appends leaves an
-            # orphan trace (re-recorded, last-wins, on resume) rather
-            # than a measured site whose trace is forever missing.
-            if trace is not None:
-                checkpoint.append_trace(
-                    condition, measurement.domain, trace
-                )
-            checkpoint.append(measurement, lease_epoch=lease_epoch,
-                              metrics=site_metrics)
-        if pump is not None:
-            pump.maybe()
-        completed += 1
-        if progress is not None and completed % 50 == 0:
-            progress(condition, completed, len(domains))
-
-    # Sites already quarantined — in this run (an earlier condition) or
-    # the run being resumed — are never dispatched again: they get the
-    # same deterministic record a live quarantine would synthesize.
-    if checkpoint is not None and pending:
-        threshold = config.quarantine_threshold
-        poisoned = {
-            d for d in pending
-            if checkpoint.strike_count(d) >= threshold
-        }
-        for domain in pending:
-            if domain in poisoned:
-                record(
-                    _quarantined_measurement(
-                        domain, condition, threshold
-                    ),
-                    _quarantined_trace(domain, condition, threshold)
-                    if config.trace else None,
-                    checkpoint.issue_lease(condition, domain),
-                )
-        pending = [d for d in pending if d not in poisoned]
-
-    if config.workers > 1 and pending:
-        _crawl_condition_parallel(
-            web, registry, config, condition, pending, record,
-            stats or _CrawlStats(), checkpoint, drain=drain,
-            pump=pump,
-        )
-    else:
-        crawler = _build_crawler(web, registry, config, condition)
-        for domain in pending:
-            if drain is not None and drain.requested:
-                break  # drain: the in-flight site already finished
-            epoch = (
-                checkpoint.issue_lease(condition, domain)
-                if checkpoint is not None else None
-            )
-            measurement, trace, wire = _measure_site(
-                crawler, registry, config, condition, domain,
-                lease_epoch=epoch,
-            )
-            record(measurement, trace, epoch, wire)
-    # Canonical domain order: resumed, parallel and serial runs must
-    # serialize identically, so insertion order never leaks in.
-    if drain is not None and drain.requested:
-        # Partial by design — run_survey raises SurveyInterrupted
-        # before this dict could ever reach the analysis layer.
-        return {d: by_domain[d] for d in domains if d in by_domain}
-    return {d: by_domain[d] for d in domains}
 
 
 def run_survey(
@@ -1766,6 +739,9 @@ def run_survey(
     if config.max_sites is not None:
         ranked = ranked[: config.max_sites]
     domains = [r.domain for r in ranked]
+
+    # Local import: supervisor -> survey.
+    from repro.core.supervisor import _CrawlSupervisor, _crawl_serial
 
     checkpoint = None
     lock: Optional[RunLock] = None
@@ -1816,9 +792,11 @@ def run_survey(
             # Parse the high-reuse script bodies once, up front: the
             # serial crawl (and every fork-started worker, via
             # copy-on-write) runs against a hot cache from its first
-            # page load.
-            _prewarm_compile_cache(
-                web, domains, lower=config.engine == "compiled"
+            # page load.  A compiled-engine crawl also closure-lowers
+            # each body, so workers inherit the code cache too.
+            shared_cache().prewarm(
+                web.script_bodies(domains),
+                lower=config.engine == "compiled",
             )
             # The set-up heap (registry, web, compile cache) outlives
             # every page; frozen, full collections stop rescanning it,
@@ -1842,15 +820,58 @@ def run_survey(
                 set_memory_governor(
                     MemoryGovernor(config.max_worker_rss_mb)
                 )
+            # One condition-major task list for the whole survey: the
+            # (condition, domain) pairs not already on disk.
             measurements: Dict[str, Dict[str, SiteMeasurement]] = {}
+            tasks: List[Tuple[str, str]] = []
             for condition in config.conditions:
-                measurements[condition] = _crawl_condition(
-                    web, registry, config, condition, domains,
-                    progress, checkpoint, stats, drain=guard,
-                    pump=pump,
+                done = (
+                    checkpoint.done(condition)
+                    if checkpoint is not None else {}
                 )
-                if guard.requested:
-                    break
+                measurements[condition] = done
+                tasks += [(condition, d) for d in domains if d not in done]
+                if done and progress is not None:
+                    progress(condition, len(done), len(domains))
+
+            def record(
+                measurement: SiteMeasurement,
+                trace: Optional[Dict[str, object]] = None,
+                lease_epoch: Optional[int] = None,
+                site_metrics: Optional[Dict[str, int]] = None,
+            ) -> None:
+                """File one finished task, in task order."""
+                by_domain = measurements[measurement.condition]
+                by_domain[measurement.domain] = measurement
+                if checkpoint is not None:
+                    # Trace first: resume skips sites whose measurement
+                    # is on disk, so a crash between the two appends
+                    # leaves an orphan trace (re-recorded, last-wins, on
+                    # resume) rather than a measured site whose trace is
+                    # forever missing.
+                    if trace is not None:
+                        checkpoint.append_trace(
+                            measurement.condition, measurement.domain,
+                            trace,
+                        )
+                    checkpoint.append(measurement, lease_epoch=lease_epoch,
+                                      metrics=site_metrics)
+                if pump is not None:
+                    pump.maybe()
+                if progress is not None and len(by_domain) % 50 == 0:
+                    progress(measurement.condition, len(by_domain),
+                             len(domains))
+
+            if config.workers > 1 and tasks:
+                _CrawlSupervisor(
+                    web, registry, config, tasks, checkpoint,
+                    drain=guard, pump=pump,
+                ).run(record, stats)
+            else:
+                _crawl_serial(
+                    web, registry, config, tasks, record, checkpoint,
+                    drain=guard,
+                )
         if guard.requested:
             # Every in-flight visit has finished or been dropped, every
             # shard append is already fsynced; stamp the manifest so
@@ -1883,7 +904,13 @@ def run_survey(
             conditions=tuple(config.conditions),
             visits_per_site=config.visits_per_site,
             domains=domains,
-            measurements=measurements,
+            # Canonical domain order: resumed, parallel and serial runs
+            # must serialize identically, so insertion order never
+            # leaks in.
+            measurements={
+                condition: {d: by_domain[d] for d in domains}
+                for condition, by_domain in measurements.items()
+            },
             visit_weights=weights,
             manual_only=manual_only,
             registry=registry,

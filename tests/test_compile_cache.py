@@ -289,3 +289,47 @@ class TestCachedVsUncachedEquivalence:
         assert "execute" not in text  # phase time: repro trace
         progress = reporting.progress_report_text(result)
         assert "Compile cache" in progress
+
+
+class TestDeepNesting:
+    """A script nested past the parser's cap is a cached syntax error:
+    the page survives it, and neither the second visit nor a prewarm
+    parses it again."""
+
+    SOURCE = "var x = " + "(" * 200 + "1" + ")" * 200 + ";"
+
+    def test_page_records_a_syntax_error_the_cache_remembers(
+        self, registry
+    ):
+        from repro.browser.browser import Browser
+        from repro.net.fetcher import DictWebSource, Fetcher
+        from repro.net.url import Url
+
+        web = DictWebSource()
+        web.add_html(
+            "https://deep.test/",
+            "<html><body><script>%s</script></body></html>" % self.SOURCE,
+        )
+        cache = shared_cache()
+        before = cache.counters()
+        for _ in range(2):
+            page = Browser(registry, Fetcher(web)).visit_page(
+                Url.parse("https://deep.test/"), seed=1
+            )
+            assert page.ok
+            assert any(
+                error.startswith("syntax error")
+                and "nesting deeper than" in error
+                for error in page.script_errors
+            ), page.script_errors
+        # Parsed at most once (none when another test parsed it), and
+        # the second visit is answered from the cache.
+        delta = CompileCache.counter_delta(cache.counters(), before)
+        assert delta["misses"] <= 1
+        assert delta["error_hits"] >= 1
+
+    def test_prewarm_returns(self, cache):
+        assert cache.prewarm([self.SOURCE, "var ok = 1;"], lower=True) == 2
+        with pytest.raises(JSParseError, match="nesting deeper than"):
+            cache.compile(self.SOURCE)
+        assert cache.error_hits == 1

@@ -15,6 +15,9 @@ One table of guarantees, enforced exhaustively:
   run's shards) is identical across every cell of a chaos arm —
   counters are a function of the recorded site set, not of the
   process topology that produced it;
+* one worker fleet crawls every condition of a survey, so a
+  two-condition parallel run lands on the serial two-condition
+  baseline's three digests under fork and spawn;
 * tracing off writes no trace shards at all;
 * a different survey seed produces *different* digests (the oracle
   can actually fail);
@@ -51,6 +54,7 @@ KILL_AFTER_SITES = 3
 
 CHAOS_ARMS = (False, True)
 PARALLEL_METHODS = ("fork", "spawn")
+TWO_CONDITIONS = ("default", "blocking")
 
 
 def matrix_config(chaos, tracing, **overrides):
@@ -213,6 +217,45 @@ class TestParallelCells:
         assert (run_metrics_digest(run_dir)
                 == baselines[(chaos, False)]["metrics"])
         _assert_no_trace_shards(run_dir)
+
+
+@pytest.fixture(scope="module")
+def two_condition_baseline(registry, clean_web, tmp_path_factory):
+    """Serial reference digests of a traced two-condition survey."""
+    run_dir = str(tmp_path_factory.mktemp("baseline") / "run")
+    result = run_survey(
+        clean_web, registry,
+        matrix_config(False, True, conditions=TWO_CONDITIONS),
+        run_dir=run_dir,
+    )
+    records = load_trace_records(run_dir)
+    assert len(records) == len(TWO_CONDITIONS) * N_SITES
+    return {
+        "measure": persistence.survey_digest(result),
+        "trace": obs.trace_digest(records),
+        "metrics": run_metrics_digest(run_dir),
+    }
+
+
+class TestTwoConditionCells:
+    @pytest.mark.parametrize("method", PARALLEL_METHODS)
+    def test_one_fleet_matches_serial(
+        self, registry, clean_web, two_condition_baseline, tmp_path,
+        method
+    ):
+        _skip_unless_available(method)
+        run_dir = str(tmp_path / "run")
+        result = run_survey(
+            clean_web, registry,
+            matrix_config(False, True, conditions=TWO_CONDITIONS,
+                          workers=2, start_method=method),
+            run_dir=run_dir,
+        )
+        cell = two_condition_baseline
+        assert persistence.survey_digest(result) == cell["measure"]
+        assert (obs.trace_digest(load_trace_records(run_dir))
+                == cell["trace"])
+        assert run_metrics_digest(run_dir) == cell["metrics"]
 
 
 class TestKillResumeCells:

@@ -20,9 +20,11 @@ from repro.core.checkpoint import (
     fsck_run_dir,
     shard_name,
 )
-from repro.core.survey import SurveyConfig, _CrawlSupervisor
+from repro.core.supervisor import _CrawlSupervisor
+from repro.core.survey import SurveyConfig
 
 DOMAINS = ["a.test", "b.test", "c.test"]
+TASKS = [("default", domain) for domain in DOMAINS]
 
 
 def make_config(**kwargs):
@@ -92,15 +94,13 @@ class TestLeaseIssuance:
 class TestSupervisorFencing:
     """Drive ``_handle_result`` directly — the fence itself."""
 
-    def make_supervisor(self, registry, pending=DOMAINS):
-        return _CrawlSupervisor(
-            object(), registry, make_config(), "default", list(pending)
-        )
+    def make_supervisor(self, registry):
+        return _CrawlSupervisor(object(), registry, make_config(), TASKS)
 
     def test_stale_epoch_result_is_rejected(self, registry):
         sup = self.make_supervisor(registry)
-        first = sup._issue_lease("a.test")
-        second = sup._issue_lease("a.test")  # straggler re-leased
+        first = sup.ledger.issue_lease("default", "a.test")
+        second = sup.ledger.issue_lease("default", "a.test")  # re-leased
         assert (first, second) == (1, 2)
         sup._handle_result(0, result_item(0, "a.test", first))
         assert sup.stale_results == 1
@@ -109,8 +109,8 @@ class TestSupervisorFencing:
 
     def test_current_epoch_result_is_accepted(self, registry):
         sup = self.make_supervisor(registry)
-        sup._issue_lease("a.test")
-        epoch = sup._issue_lease("a.test")
+        sup.ledger.issue_lease("default", "a.test")
+        epoch = sup.ledger.issue_lease("default", "a.test")
         sup._handle_result(0, result_item(0, "a.test", epoch))
         assert sup.stale_results == 0
         assert sup.finished == {0}
@@ -123,7 +123,7 @@ class TestSupervisorFencing:
         # already in the pipe under the *current* epoch when the site
         # was re-dispatched.  The finished-index set dedupes it.
         sup = self.make_supervisor(registry)
-        epoch = sup._issue_lease("a.test")
+        epoch = sup.ledger.issue_lease("default", "a.test")
         sup._handle_result(0, result_item(0, "a.test", epoch))
         sup._handle_result(1, result_item(0, "a.test", epoch, pid=456))
         assert sup.finished == {0}
@@ -144,12 +144,11 @@ class TestSupervisorFencing:
             str(tmp_path / "run"), registry, make_config(), DOMAINS
         )
         sup = _CrawlSupervisor(
-            object(), registry, make_config(), "default",
-            list(DOMAINS), checkpoint=checkpoint,
+            object(), registry, make_config(), TASKS, checkpoint=checkpoint,
         )
-        assert sup._issue_lease("a.test") == 1
+        assert sup.ledger.issue_lease("default", "a.test") == 1
         assert checkpoint.lease_epoch("default", "a.test") == 1
-        assert sup._current_lease("a.test") == 1
+        assert sup.ledger.lease("default", "a.test") == 1
         checkpoint.close()
 
 

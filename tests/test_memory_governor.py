@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.core import persistence, sandbox, survey
+from repro.core import persistence, sandbox, supervisor
 from repro.core.checkpoint import QUARANTINE_NAME
 from repro.core.sandbox import (
     MEMORY_PRESSURE_CAUSE,
@@ -205,7 +205,7 @@ class TestParallelGovernance:
         # a strike on a site that did nothing wrong.
         monkeypatch.setattr(sandbox, "_default_rss_probe",
                             lambda: 512.0)
-        worker_main = survey._watchdog_worker_main
+        worker_main = supervisor._watchdog_worker_main
 
         def slow_exit(*args):
             # A real worker's teardown takes a while; a slow one makes
@@ -213,7 +213,8 @@ class TestParallelGovernance:
             worker_main(*args)
             time.sleep(0.5)
 
-        monkeypatch.setattr(survey, "_watchdog_worker_main", slow_exit)
+        monkeypatch.setattr(supervisor, "_watchdog_worker_main",
+                            slow_exit)
         web = build_web(registry, n_sites=6, seed=WEB_SEED)
         run_dir = str(tmp_path / "run")
         result = run_survey(

@@ -1,10 +1,13 @@
 """Tests for the MiniJS parser."""
 
+import inspect
+import sys
+
 import pytest
 
 from repro.minijs import ast
 from repro.minijs.errors import JSParseError
-from repro.minijs.parser import parse
+from repro.minijs.parser import MAX_NESTING_DEPTH, parse
 
 
 def stmt(source):
@@ -282,3 +285,68 @@ class TestParseErrors:
         with pytest.raises(JSParseError) as exc:
             parse("ok();\nvar;")
         assert exc.value.line == 2
+
+
+def _nested(depth):
+    """One program per recursive construct, nested ``depth`` deep."""
+    return {
+        "parens": "x = " + "(" * depth + "1" + ")" * depth,
+        "index": "a" + "[a" * depth + "]" * depth,
+        "calls": "f(" * depth + ")" * depth,
+        "array": "[" * depth + "]" * depth,
+        "object": "x = " + "{a:" * depth + "1" + "}" * depth,
+        "functions": "(function(){return " * depth + "1" + ";})" * depth,
+        "operators": "x = " + "a||b&&c|d^e&f==g<h<<i+j*(" * depth
+        + "1" + ")" * depth,
+        "blocks": "{" * depth + "}" * depth,
+        "try": "try {" * depth + "} finally {}" * depth,
+        "prefix": "x = " + "!" * depth + "y",
+        "assignments": "a = " * depth + "1",
+        "conditionals": "a ? b : " * depth + "c",
+        "new": "x = " + "new " * depth + "X" + "()" * depth,
+    }
+
+
+class TestNestingCap:
+    """The parser counts its own nesting, so a deep program is a syntax
+    error at a fixed depth instead of a RecursionError at whatever
+    depth the caller's stack allows."""
+
+    def test_sixty_six_parentheses_parse_and_sixty_seven_do_not(self):
+        # The front end before the one-regex lexer ran out of stack at
+        # about 65.
+        assert parse("x = " + "(" * 66 + "1" + ")" * 66).body
+        with pytest.raises(JSParseError, match="nesting deeper than"):
+            parse("x = " + "(" * 67 + "1" + ")" * 67)
+
+    @pytest.mark.parametrize("construct", sorted(_nested(1)))
+    def test_every_construct_is_capped(self, construct):
+        with pytest.raises(JSParseError, match="nesting deeper than"):
+            parse(_nested(1000)[construct])
+
+    @pytest.mark.parametrize("construct", sorted(_nested(1)))
+    def test_half_the_stack_is_left_to_the_caller(self, construct):
+        # Nested as deep as the cap allows, from a caller already half
+        # the recursion limit deep: a syntax error or a program, never
+        # a RecursionError.
+        source = next(
+            _nested(depth)[construct]
+            for depth in range(MAX_NESTING_DEPTH, 0, -1)
+            if _parses(_nested(depth)[construct])
+        )
+
+        def descend(frames):
+            if frames > 0:
+                return descend(frames - 1)
+            return parse(source)
+
+        here = len(inspect.stack(0))
+        assert descend(sys.getrecursionlimit() // 2 - here).body
+
+
+def _parses(source):
+    try:
+        parse(source)
+    except JSParseError:
+        return False
+    return True

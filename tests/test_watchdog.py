@@ -160,3 +160,28 @@ class TestQuarantineOnResume:
         assert elapsed < 3.5
         # The benign/budget sites were still crawled normally.
         assert result.measurement("default", "ok-1.chaos").measured
+
+
+class TestSurveyWideStrikes:
+    def test_strikes_carry_across_conditions_without_a_run_dir(
+        self, registry
+    ):
+        """One fleet and one strike ledger serve the whole survey.
+
+        Each poison site takes its two strikes under the first
+        condition and is quarantined under both without a run dir to
+        persist them.  A fleet per condition forgot them, and the
+        second condition killed its four workers again (8 in all).
+        """
+        started = time.perf_counter()
+        result = run_survey(
+            hostile_web(include_poison=True), registry,
+            watchdog_config(conditions=("default", "blocking"),
+                            visits_per_site=1),
+        )
+        assert result.process_faults["watchdog_kills"] == 2 * THRESHOLD
+        for condition in ("default", "blocking"):
+            assert set(result.quarantined_domains(condition)) == {
+                "hang.chaos", "crash.chaos",
+            }, condition
+        assert time.perf_counter() - started < 120
